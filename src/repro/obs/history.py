@@ -411,11 +411,15 @@ class RunRegistry:
         return sorted(live.values(), key=lambda r: (r.timestamp, r.run_id))
 
     def register(self, run_dir: str | os.PathLike) -> RunRecord:
-        """Parse one freshly finished run and append it to the index."""
+        """Parse one freshly finished run and append it to the index.
+
+        A single O(1) append: the index is never read here, so the cost
+        does not grow with the number of runs already recorded.  A repeat
+        registration adds a duplicate line, which collapses on read
+        (last line per run id wins in :meth:`_load_index`).
+        """
         record = RunRecord.from_dir(run_dir)
-        prior = self._load_index().get(record.run_id)
-        if prior is None or prior.mtime != record.mtime:
-            self._append([record])
+        self._append([record])
         return record
 
     def get(self, token: str) -> RunRecord:

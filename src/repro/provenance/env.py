@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import platform
 import sys
 from dataclasses import dataclass
@@ -47,8 +48,19 @@ class EnvironmentSnapshot:
         return diffs
 
 
+@functools.cache
 def capture_environment() -> EnvironmentSnapshot:
-    """Snapshot the interpreter, platform, and tracked package versions."""
+    """Snapshot the interpreter, platform, and tracked package versions.
+
+    Captured once per process: each ``metadata.version`` call parses a
+    package's METADATA file, a cost a long-lived serve worker would
+    otherwise pay on every run it writes.  The interpreter, the platform
+    and the packages a process has imported cannot change version under
+    it, so the first snapshot describes the code a later run executes at
+    least as faithfully as a fresh disk read would.  The snapshot is
+    frozen, so sharing it is safe; ``capture_environment.__wrapped__()``
+    takes an un-memoized one.
+    """
     packages = []
     for name in _TRACKED_PACKAGES:
         try:

@@ -136,6 +136,9 @@ class _Job:
     status: RunStatus
     digest: str
     worker_pid: int | None = None
+    #: Only a store hit carries its document.  An executed run's
+    #: results.json is re-read on demand, so the job table (which keeps
+    #: every answered job) does not also hold a document per run.
     document: dict[str, Any] | None = None
     #: Every trace that rode this job — the submitter's first, then each
     #: coalesced joiner's.  The terminal access-log line publishes the
@@ -336,8 +339,6 @@ class JobQueue:
                 return RunResult(run_id, job.document, cached=status.cached)
             run_dir = Path(status.run_dir or self.root / run_id)
         document = json.loads((run_dir / "results.json").read_text())
-        with self._lock:
-            job.document = document
         return RunResult(run_id, document, cached=status.cached)
 
     def cancel(self, run_id: str) -> RunStatus:

@@ -170,6 +170,40 @@ def test_registry_register_and_get(tmp_path):
         registry.get("run-missing")
 
 
+def test_register_appends_without_reading_the_index(tmp_path, monkeypatch):
+    # Pre-fill a large index: registering one more run must not parse it.
+    template = RunRecord.from_dir(make_run(tmp_path, "run-0")).as_dict()
+    index = tmp_path / "runs_index.jsonl"
+    with open(index, "w") as fh:
+        for i in range(2000):
+            fh.write(json.dumps({**template, "run_id": f"old-{i}"}) + "\n")
+    run_dir = make_run(tmp_path, "run-new")
+
+    def refuse(self):
+        raise AssertionError("register must not read the index")
+
+    monkeypatch.setattr(RunRegistry, "_load_index", refuse)
+    record = RunRegistry(tmp_path).register(run_dir)
+
+    lines = index.read_text().splitlines()
+    assert len(lines) == 2001
+    assert json.loads(lines[-1]) == record.as_dict()
+
+
+def test_repeat_registration_collapses_on_read(tmp_path):
+    run_dir = make_run(tmp_path, "run-1")
+    registry = RunRegistry(tmp_path)
+    registry.register(run_dir)
+    registry.register(run_dir)
+    assert len((tmp_path / "runs_index.jsonl").read_text().splitlines()) == 2
+    assert [r.run_id for r in registry.scan()] == ["run-1"]
+
+    # A torn final line (a writer cut mid-append) is still skipped.
+    with open(tmp_path / "runs_index.jsonl", "a") as fh:
+        fh.write('{"run_id": "run-1", "trunc')
+    assert [r.run_id for r in RunRegistry(tmp_path).scan()] == ["run-1"]
+
+
 def test_diff_of_identical_runs_is_clean(tmp_path):
     make_run(tmp_path, "run-a")
     make_run(tmp_path, "run-b")

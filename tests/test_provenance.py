@@ -1,8 +1,12 @@
 """Tests for the reproducibility tooling."""
 
+import importlib.metadata
+import json
+
 import numpy as np
 import pytest
 
+from repro.api import RunRequest, execute_request
 from repro.provenance import (
     ArtifactBundle,
     ExperimentManifest,
@@ -95,6 +99,33 @@ class TestEnvironment:
             packages=a.packages,
         )
         assert any("python" in d for d in a.differs_from(b))
+
+    def test_captured_once_per_process_across_runs(self, tmp_path, monkeypatch):
+        real_version = importlib.metadata.version
+        calls = []
+
+        def counting_version(name):
+            calls.append(name)
+            return real_version(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", counting_version)
+        capture_environment.cache_clear()
+        try:
+            for i in range(3):
+                execute_request(
+                    RunRequest(ids=("T1",), smoke=True, cache=False),
+                    out_dir=tmp_path / f"run-{i}",
+                )
+            assert len(calls) == len(capture_environment().packages)
+
+            fresh = capture_environment.__wrapped__().as_dict()
+            for i in range(3):
+                manifest = json.loads(
+                    (tmp_path / f"run-{i}" / "manifest.json").read_text()
+                )
+                assert manifest["environment"] == fresh
+        finally:
+            capture_environment.cache_clear()
 
 
 class TestArtifactPackaging:

@@ -9,6 +9,7 @@ whole module is skipped elsewhere — on Linux CI fork is the default.
 
 import json
 import multiprocessing
+import pathlib
 import time
 import urllib.request
 
@@ -223,6 +224,34 @@ class TestSharedStore:
             if line.startswith("repro_serve_cache_hits_total")
         ]
         assert hits and float(hits[0].rsplit(" ", 1)[1]) >= 1
+
+    def test_executed_results_are_read_from_disk_not_kept(
+        self, server, client, monkeypatch
+    ):
+        queue = server.queue
+        request = RunRequest(ids=("ZZQ",), overrides={"ZZQ": {"x": 7}})
+        executed = client.submit(request)
+        client.wait(executed.run_id, timeout_s=60)
+        first = queue.results(executed.run_id).document
+        second = queue.results(executed.run_id).document
+        assert first == second
+        assert first["experiments"][0]["values"]["block"]["x"] == 7
+        assert queue._jobs[executed.run_id].document is None
+
+        hit = client.submit(request)
+        assert hit.cached is True
+
+        def no_disk(self, *args, **kwargs):
+            raise AssertionError(f"cache hit read {self}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "read_text", no_disk)
+            patch.setattr(pathlib.Path, "read_bytes", no_disk)
+            cached = queue.results(hit.run_id)
+        assert cached.cached is True
+        assert canonical_results_bytes(cached.document) == (
+            canonical_results_bytes(first)
+        )
 
     def test_cache_hit_http_status_is_200_not_202(self, server, client):
         request = RunRequest(ids=("ZZQ",))
