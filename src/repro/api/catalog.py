@@ -8,10 +8,12 @@ through the same five verbs —
 * :meth:`~Catalog.execute` — run a :class:`RunRequest` synchronously in
   this process (the CLI's path);
 * :meth:`~Catalog.submit` / :meth:`~Catalog.status` /
-  :meth:`~Catalog.results` / :meth:`~Catalog.cancel` — the asynchronous
-  lifecycle, delegated to a pluggable backend.
+  :meth:`~Catalog.wait` / :meth:`~Catalog.results` /
+  :meth:`~Catalog.cancel` — the asynchronous lifecycle, delegated to a
+  pluggable backend.
 
-Backends implement the submit/status/results/cancel quartet.  The
+Backends implement the submit/status/results/cancel quartet, plus
+``wait`` (block until a run is terminal).  The
 default :class:`InlineBackend` executes at submission time in-process —
 useful for tests and scripting, and the reference semantics the serving
 queue (:class:`repro.serve.queue.JobQueue`) must match.  Both consult a
@@ -53,6 +55,11 @@ class CatalogBackend(Protocol):
     def submit(self, request: RunRequest) -> RunStatus: ...
 
     def status(self, run_id: str) -> RunStatus: ...
+
+    def wait(self, run_id: str, timeout_s: float) -> RunStatus:
+        """Block until the run is terminal; ``TimeoutError`` after
+        ``timeout_s`` seconds, ``UnknownRunError`` at once."""
+        ...
 
     def results(self, run_id: str) -> RunResult: ...
 
@@ -150,6 +157,10 @@ class InlineBackend:
         except KeyError:
             raise UnknownRunError(f"unknown run {run_id!r}") from None
 
+    def wait(self, run_id: str, timeout_s: float = 300.0) -> RunStatus:
+        """Inline runs finish at submission, so there is nothing to wait for."""
+        return self.status(run_id)
+
     def results(self, run_id: str) -> RunResult:
         status = self.status(run_id)
         if status.state != DONE:
@@ -202,6 +213,9 @@ class Catalog:
 
     def status(self, run_id: str) -> RunStatus:
         return self._backend.status(run_id)
+
+    def wait(self, run_id: str, timeout_s: float = 300.0) -> RunStatus:
+        return self._backend.wait(run_id, timeout_s)
 
     def results(self, run_id: str) -> RunResult:
         return self._backend.results(run_id)

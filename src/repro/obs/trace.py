@@ -1586,7 +1586,10 @@ class ServeTraceIndex:
             by_status[code] = by_status.get(code, 0) + 1
             wall = request.get("wall_s")
             if isinstance(wall, (int, float)) and wall >= 0:
-                latency.observe(float(wall))
+                # A held ``?wait=`` is waiting, not handling.
+                held = request.get("wait_s")
+                held = held if isinstance(held, (int, float)) else 0.0
+                latency.observe(max(0.0, float(wall) - held))
             cached = bool(request.get("cached"))
             coalesced = bool(request.get("coalesced"))
             n_cached += cached

@@ -12,10 +12,11 @@ concurrent requesters.
   requests from the shared content-addressed result store in
   microseconds.
 * :class:`~repro.serve.server.CatalogServer` — the HTTP/JSON front end
-  (``POST /runs``, ``GET /runs/<id>[/results]``, ``POST
-  /runs/<id>/cancel``, ``GET /experiments``, ``GET /metrics``).
+  (``POST /runs``, ``GET /runs/<id>[/results]``, ``GET
+  /runs/<id>?wait=<s>``, ``POST /runs/<id>/cancel``, ``GET
+  /experiments``, ``GET /metrics``).
 * :class:`~repro.serve.client.ServeClient` — stdlib client returning the
-  same typed objects.
+  same typed objects over one kept-alive connection per thread.
 
 ``python -m repro serve`` is the CLI entry point;
 ``benchmarks/bench_serve.py`` stress-tests the stack with a

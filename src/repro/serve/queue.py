@@ -186,6 +186,9 @@ class JobQueue:
         #: digest -> run id of the in-flight (queued/running) job computing
         #: it; entries leave on completion, failure, or cancellation.
         self._inflight: dict[str, str] = {}
+        #: Jobs per live state, kept on every transition so the gauges
+        #: never rescan the job table (which keeps every answered job).
+        self._live = {QUEUED: 0, RUNNING: 0}
         self._seq = itertools.count(1)
         self._workers: list[Any] = []
         self._drainer: threading.Thread | None = None
@@ -309,6 +312,7 @@ class JobQueue:
             self._jobs[run_id] = _Job(status, digest, trace_ids=[ctx.trace_id])
             if request.cache:
                 self._inflight[digest] = run_id
+            self._live[QUEUED] += 1
             self._update_gauges()
         # The dir exists from submission, so `repro watch <run-id>` can
         # attach before the worker's first event.
@@ -350,7 +354,7 @@ class JobQueue:
                     f"run {run_id!r} already finished (state: {status.state})"
                 )
             pid = job.worker_pid if status.state == RUNNING else None
-            status.state = CANCELLED
+            self._set_state(status, CANCELLED)
             status.finished_at = time.time()
             self._clear_inflight(job, run_id)
             get_metrics().counter("serve.cancelled").inc()
@@ -417,11 +421,21 @@ class JobQueue:
         if self._inflight.get(job.digest) == run_id:
             del self._inflight[job.digest]
 
+    def _set_state(self, status: RunStatus, state: str) -> None:
+        """Move a job to ``state``, keeping the live counts in step.
+
+        Caller holds the lock.
+        """
+        if status.state in self._live:
+            self._live[status.state] -= 1
+        if state in self._live:
+            self._live[state] += 1
+        status.state = state
+
     def _update_gauges(self) -> None:
         metrics = get_metrics()
-        states = [job.status.state for job in self._jobs.values()]
-        metrics.gauge("serve.queue_depth").set(states.count(QUEUED))
-        metrics.gauge("serve.running").set(states.count(RUNNING))
+        metrics.gauge("serve.queue_depth").set(self._live[QUEUED])
+        metrics.gauge("serve.running").set(self._live[RUNNING])
 
     def _kill_worker(self, pid: int) -> None:
         """Terminate the shard running a cancelled job; respawn a fresh one."""
@@ -462,7 +476,7 @@ class JobQueue:
                         # picked it up must not run it to completion.
                         kill_pid = pid
                     else:
-                        status.state = RUNNING
+                        self._set_state(status, RUNNING)
                         status.started_at = ts
                         job.worker_pid = pid
                         if status.queued_at is not None:
@@ -473,7 +487,7 @@ class JobQueue:
                     _, _, ts = message
                     self._clear_inflight(job, run_id)
                     if status.state != CANCELLED:
-                        status.state = DONE
+                        self._set_state(status, DONE)
                         status.finished_at = ts
                         get_metrics().counter("serve.completed").inc()
                         self._terminal_line(job)
@@ -481,7 +495,7 @@ class JobQueue:
                     _, _, error, ts = message
                     self._clear_inflight(job, run_id)
                     if status.state != CANCELLED:
-                        status.state = FAILED
+                        self._set_state(status, FAILED)
                         status.error = error
                         status.finished_at = ts
                         get_metrics().counter("serve.failed").inc()

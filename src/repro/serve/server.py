@@ -14,6 +14,11 @@ Routes
                                       from the shared result store
 ``GET  /runs``                        every known run's status
 ``GET  /runs/<id>``                   one run's status
+``GET  /runs/<id>?wait=<s>``          the same, held until the run is
+                                      terminal or ``<s>`` seconds pass
+                                      (capped at :data:`MAX_WAIT_S`);
+                                      400 on a non-number, 404 at once on
+                                      an unknown id
 ``GET  /runs/<id>/results``           the finished run's results document
                                       (the same shape ``results.json``
                                       holds)
@@ -28,11 +33,22 @@ Errors map straight off the API's taxonomy: :exc:`RequestError` → 400,
 :exc:`UnknownRunError` → 404, :exc:`ConflictError` → 409, unknown route
 → 404, wrong verb → 405.  Error bodies are ``{"error": "<message>"}``.
 
+Connections are HTTP/1.1 keep-alive: every response carries a
+``Content-Length`` and every request body is read in full, so one client
+connection carries any number of requests.  ``TCP_NODELAY`` is set on
+each accepted socket, because the handler writes headers and body in two
+sends; on a kept-alive socket Nagle's algorithm would hold the body back
+until the client's delayed ACK (~40 ms per response).  :meth:`stop`
+shuts down every open connection, so no handler thread outlives it
+blocked on an idle client.
+
 Every request runs under a :mod:`repro.obs.context` trace — continued
 from the caller's ``traceparent`` header when one parses, freshly rooted
 otherwise — echoed back as a response header, recorded as one
 ``request`` line in the serve root's ``access.jsonl``, and observed
-into the ``serve.request_latency`` histogram.
+into the ``serve.request_latency`` histogram.  Time a ``?wait=`` request
+spent held is logged as ``wait_s`` and left out of the histogram, which
+measures handling, not waiting.
 
 :class:`CatalogServer` owns the lifecycle: it starts the worker pool
 *before* binding the (threaded) HTTP listener — forking workers from a
@@ -42,12 +58,15 @@ still-single-threaded process — and tears both down on :meth:`stop`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
+from urllib.parse import parse_qs
 
 import repro
 from repro import obs
@@ -70,10 +89,15 @@ _RUN_PATH = re.compile(r"^/runs/(?P<run_id>[^/]+)(?P<tail>/results|/cancel)?$")
 #: Prometheus text exposition content type.
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: The longest a ``GET /runs/<id>?wait=`` request is held, in seconds.
+MAX_WAIT_S = 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{repro.package_version()}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate sends; see the module docstring.
+    disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
 
@@ -90,6 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         ctx = trace_context.current()
         if ctx is not None:
             # Echo the request's trace so callers without their own
@@ -105,9 +131,30 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error_json(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
+    def setup(self) -> None:
+        super().setup()
+        self.server.connections.add(self.connection)  # type: ignore[attr-defined]
+
+    def finish(self) -> None:
+        self.server.connections.discard(self.connection)  # type: ignore[attr-defined]
+        super().finish()
+
+    def _read_request_body(self) -> bytes:
+        """The request's whole body, read whether or not the route uses
+        it: bytes left unread would be parsed as the connection's next
+        request."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Nowhere to tell where this request ends and the next begins.
+            self.close_connection = True
+            raise RequestError("Content-Length must be a non-negative integer")
+        return self.rfile.read(length) if length else b""
+
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._body
         if not raw:
             raise RequestError("request body must be a JSON object")
         try:
@@ -130,7 +177,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._route("PUT")
 
     def _route(self, method: str) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, self._query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         # Trace context: continue the caller's trace when it sent a valid
         # traceparent header (this hop becomes a child span); otherwise —
         # including malformed headers — root a fresh trace.  Binding is
@@ -144,10 +192,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._status_code: int | None = None
         self._access: dict[str, Any] = {}
+        self._wait_s = 0.0
         start = time.perf_counter()
         try:
             with trace_context.bind(ctx):
                 try:
+                    self._body = self._read_request_body()
                     self._dispatch(method, path)
                 except RequestError as exc:
                     self._send_error_json(400, str(exc))
@@ -161,7 +211,9 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send_error_json(500, f"{type(exc).__name__}: {exc}")
         finally:
             wall = time.perf_counter() - start
-            obs.get_metrics().histogram("serve.request_latency").observe(wall)
+            obs.get_metrics().histogram("serve.request_latency").observe(
+                max(0.0, wall - self._wait_s)
+            )
             access = getattr(self.server, "access", None)
             if access is not None:
                 access.write(
@@ -173,6 +225,7 @@ class _Handler(BaseHTTPRequestHandler):
                     path=path,
                     status=self._status_code,
                     wall_s=wall,
+                    wait_s=self._wait_s,
                     **self._access,
                 )
 
@@ -218,8 +271,40 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._send_json(
                     200, self.catalog.results(run_id).as_dict()
                 )
-            return self._send_json(200, self.catalog.status(run_id).as_dict())
+            hold = self._hold_s()
+            if hold is None:
+                return self._send_json(
+                    200, self.catalog.status(run_id).as_dict()
+                )
+            return self._send_json(200, self._held_status(run_id, hold))
         self._send_error_json(404, f"no route {method} {path}")
+
+    def _hold_s(self) -> float | None:
+        """The ``?wait=`` hold in seconds, clamped to [0, MAX_WAIT_S]."""
+        values = parse_qs(self._query, keep_blank_values=True).get("wait")
+        if values is None:
+            return None
+        try:
+            hold = float(values[-1])
+        except ValueError:
+            hold = math.nan
+        if not math.isfinite(hold):
+            raise RequestError(
+                f"wait must be a number of seconds, got {values[-1]!r}"
+            )
+        return min(max(hold, 0.0), MAX_WAIT_S)
+
+    def _held_status(self, run_id: str, hold: float) -> dict[str, Any]:
+        """Hold until the run is terminal or ``hold`` passes; the status
+        as it then stands.  An unknown id raises before any hold."""
+        start = time.perf_counter()
+        try:
+            status = self.catalog.wait(run_id, hold)
+        except TimeoutError:
+            status = self.catalog.status(run_id)
+        finally:
+            self._wait_s = time.perf_counter() - start
+        return status.as_dict()
 
     def _submit(self) -> None:
         request = RunRequest.from_dict(self._read_body())
@@ -286,6 +371,7 @@ class CatalogServer:
         self._httpd.verbose = self.verbose  # type: ignore[attr-defined]
         self._httpd.access = self.queue.access  # type: ignore[attr-defined]
         self._httpd.daemon_threads = True
+        self._httpd.connections = set()  # type: ignore[attr-defined]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-serve-http",
@@ -300,6 +386,13 @@ class CatalogServer:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
+            # Wake every handler still blocked reading a kept-alive
+            # connection; each then sees EOF and its thread ends.
+            for conn in list(httpd.connections):  # type: ignore[attr-defined]
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None

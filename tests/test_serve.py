@@ -1,16 +1,22 @@
 """The serving stack end to end: HTTP routes, error taxonomy, the queue's
-lifecycle (including cancel-mid-run), the shared-store fast path, and the
-served-vs-CLI bit-identity guarantee.
+lifecycle (including cancel-mid-run), the shared-store fast path, the
+served-vs-CLI bit-identity guarantee, and the transport (keep-alive
+connections, server-held waits, constant-time queue gauges).
 
 The worker pool inherits test-registered fake experiments only under the
 ``fork`` start method (the fakes live in this process's registry), so the
 whole module is skipped elsewhere — on Linux CI fork is the default.
 """
 
+import http.client
 import json
 import multiprocessing
 import pathlib
+import socket
+import sys
+import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -668,3 +674,286 @@ class TestAccessLogRotation:
         log.close()
         report = ServeTraceIndex.load(tmp_path).fleet_report()
         assert report["requests"]["total"] == 12
+
+
+def _get(url, timeout_s=10.0):
+    """One plain-HTTP GET: (status code, parsed JSON body)."""
+    try:
+        with urllib.request.urlopen(url, timeout=timeout_s) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _await_state(client, run_id, state, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while client.status(run_id).state != state:
+        assert time.monotonic() < deadline, f"run never reached {state}"
+        time.sleep(0.02)
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every ``HTTPConnection.connect`` made while the test runs."""
+    made = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting_connect(conn):
+        made.append(conn)
+        return real_connect(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    return made
+
+
+class TestKeepAlive:
+    def test_submit_wait_results_make_one_connection(self, client, connects):
+        status = client.submit(RunRequest(ids=("ZZQ",), cache=False))
+        assert client.wait(status.run_id, timeout_s=60).state == "done"
+        assert client.results(status.run_id)["experiments"]
+        assert len(connects) == 1
+
+    def test_a_dropped_idle_connection_is_reopened(
+        self, server, client, connects
+    ):
+        assert client.healthz()["ok"] is True
+        # The server side hangs up on the idle connection.
+        for conn in list(server._httpd.connections):
+            conn.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 10
+        while server._httpd.connections:
+            assert time.monotonic() < deadline, "handler kept the connection"
+            time.sleep(0.01)
+        assert client.healthz()["ok"] is True
+        assert len(connects) == 2
+
+    def test_an_unused_body_does_not_poison_the_next_request(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("POST", "/healthz", body=b'{"ignored": true}',
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 405
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["ok"] is True
+        finally:
+            conn.close()
+
+    def test_malformed_content_length_is_400_and_closes(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/runs")
+            conn.putheader("Content-Length", "lots")
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+            assert response.will_close
+        finally:
+            conn.close()
+
+    def test_keepalive_responses_are_not_held_back_by_nagle(self, client):
+        client.healthz()  # connect outside the timed loop
+        start = time.perf_counter()
+        for _ in range(20):
+            client.healthz()
+        # Nagle + delayed ACK would stall each response ~40 ms (0.8 s).
+        assert time.perf_counter() - start < 0.4
+
+    def test_one_client_is_safe_across_threads(self, client):
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(10):
+                    assert client.healthz()["ok"] is True
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_stop_ends_handlers_of_open_connections(self, fakes, tmp_path):
+        baseline = threading.active_count()
+        srv = CatalogServer(tmp_path / "srv", workers=1).start()
+        with ServeClient(srv.url, timeout_s=10.0) as held:
+            assert held.healthz()["ok"] is True
+            srv.stop()  # while the client still holds its connection
+            deadline = time.monotonic() + 10
+            while threading.active_count() > baseline:
+                assert time.monotonic() < deadline, (
+                    f"threads left after stop: {threading.enumerate()}"
+                )
+                time.sleep(0.02)
+
+    def test_a_closed_client_reconnects(self, client):
+        with client:
+            assert client.healthz()["ok"] is True
+        assert client.healthz()["ok"] is True
+
+
+class TestHeldWait:
+    def test_wait_on_a_running_run_is_one_held_request(self, client):
+        calls = []
+        real_request = client._request
+
+        def counting_request(method, path, body=None):
+            calls.append(path)
+            return real_request(method, path, body)
+
+        status = client.submit(RunRequest(
+            ids=("ZZSLOW",), cache=False, overrides={"ZZSLOW": {"sleep_s": 0.6}},
+        ))
+        client._request = counting_request
+        start = time.perf_counter()
+        assert client.wait(status.run_id, timeout_s=60).state == "done"
+        assert time.perf_counter() - start >= 0.5
+        assert len(calls) <= 2, calls
+
+    def test_short_hold_answers_with_the_unfinished_state(self, server, client):
+        victim = client.submit(RunRequest(ids=("ZZSLOW",), cache=False))
+        try:
+            code, payload = _get(f"{server.url}/runs/{victim.run_id}?wait=0.05")
+            assert code == 200
+            assert payload["state"] in ("queued", "running")
+        finally:
+            client.cancel(victim.run_id)
+
+    def test_plain_status_route_is_not_held(self, server, client):
+        victim = client.submit(RunRequest(ids=("ZZSLOW",), cache=False))
+        try:
+            start = time.perf_counter()
+            code, payload = _get(f"{server.url}/runs/{victim.run_id}")
+            assert code == 200 and payload["state"] in ("queued", "running")
+            assert time.perf_counter() - start < 1.0
+        finally:
+            client.cancel(victim.run_id)
+
+    def test_non_numeric_wait_is_400(self, server, client):
+        status = client.submit(RunRequest(ids=("ZZQ",)))
+        for bad in ("abc", "", "nan", "inf"):
+            code, payload = _get(f"{server.url}/runs/{status.run_id}?wait={bad}")
+            assert code == 400, bad
+            assert "wait" in payload["error"]
+
+    def test_wait_on_an_unknown_run_is_404_at_once(self, server):
+        start = time.perf_counter()
+        code, payload = _get(f"{server.url}/runs/run-9999-deadbeef?wait=5")
+        assert code == 404 and "unknown run" in payload["error"]
+        assert time.perf_counter() - start < 1.0
+
+    def test_held_time_is_not_booked_as_handler_latency(self, server, client):
+        from repro.obs.trace import ServeTraceIndex
+
+        status = client.submit(RunRequest(
+            ids=("ZZSLOW",), cache=False, overrides={"ZZSLOW": {"sleep_s": 0.3}},
+        ))
+        _await_state(client, status.run_id, "running")
+        code, payload = _get(f"{server.url}/runs/{status.run_id}?wait=20")
+        assert code == 200 and payload["state"] == "done"
+        (held,) = _wait_for_access(
+            server,
+            lambda r: r["kind"] == "request" and r.get("wait_s", 0) >= 0.2,
+        )
+        assert held["wall_s"] >= held["wait_s"]
+        latency = ServeTraceIndex.load(server.queue.root).fleet_report()[
+            "request_latency"
+        ]
+        assert latency["count"] >= 3
+        assert latency["sum"] < 0.1
+
+
+def _gauges():
+    from repro.obs.metrics import get_metrics
+
+    metrics = get_metrics()
+    return (
+        metrics.gauge("serve.queue_depth").value,
+        metrics.gauge("serve.running").value,
+    )
+
+
+@pytest.fixture()
+def idle_queue(fakes, tmp_path):
+    """A JobQueue whose workers never start: jobs move only as the test
+    drives them."""
+    from repro.serve import JobQueue
+
+    q = JobQueue(tmp_path / "q", workers=1)
+    yield q
+    for mp_queue in (q._tasks, q._events):
+        mp_queue.close()
+        mp_queue.cancel_join_thread()
+    q.access.close()
+
+
+def _feed(q, *messages):
+    """Fold worker messages into the job table, as the drainer would."""
+    for message in messages + (("stop",),):
+        q._events.put(message)
+    q._drain()
+
+
+class TestQueueGauges:
+    def test_submit_never_scans_the_job_table(self, idle_queue):
+        from repro.api.types import DONE, RunStatus
+        from repro.serve.queue import _Job
+
+        request = RunRequest(ids=("ZZQ",), cache=False)
+        for i in range(5000):
+            run_id = f"run-old-{i}"
+            idle_queue._jobs[run_id] = _Job(
+                RunStatus(run_id=run_id, state=DONE, request=request), "d"
+            )
+
+        class NoScan(dict):
+            def values(self):
+                raise AssertionError("job table scanned")
+
+        idle_queue._jobs = NoScan(idle_queue._jobs)
+        status = idle_queue.submit(request)
+        assert status.state == "queued"
+        assert _gauges() == (1, 0)
+
+    def test_gauges_match_a_full_recount(self, idle_queue):
+        import random
+
+        rng = random.Random(20231112)
+        for step in range(200):
+            live = [
+                run_id for run_id, job in idle_queue._jobs.items()
+                if not job.status.terminal
+            ]
+            op = rng.choice(("submit", "cancel", "start", "done", "failed"))
+            if op == "submit" or not live:
+                idle_queue.submit(RunRequest(
+                    ids=("ZZQ",), cache=rng.random() < 0.5,
+                    overrides={"ZZQ": {"x": rng.randrange(4)}},
+                ))
+            elif op == "cancel":
+                idle_queue.cancel(rng.choice(live))
+            else:
+                run_id = rng.choice(list(idle_queue._jobs))
+                message = {
+                    "start": ("start", run_id, -1, time.time()),
+                    "done": ("done", run_id, time.time()),
+                    "failed": ("failed", run_id, "boom", time.time()),
+                }[op]
+                _feed(idle_queue, message)
+            states = [job.status.state for job in idle_queue._jobs.values()]
+            assert _gauges() == (
+                states.count("queued"), states.count("running")
+            ), step
