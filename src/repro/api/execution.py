@@ -4,14 +4,17 @@
 ``repro.exp.runner.run_experiments``: given a validated
 :class:`~repro.api.types.RunRequest` it runs each resolved experiment,
 stamps provenance, logs telemetry, and (when given a run directory)
-writes the artifact set atomically:
+writes the artifact set atomically.  Experiments run with the loaded BLAS
+held at one thread (:mod:`repro.utils.blas`) rather than the host's
+default BLAS thread count:
 
 * ``events.jsonl`` — ``run_start`` / ``experiment_start`` /
   ``experiment_finish`` / ``run_finish`` framing whatever the
   experiment's own :func:`repro.parallel.pmap` calls emit;
 * ``manifest.json`` — a hash-chained :class:`ExperimentManifest` with
-  configs, seed ledgers, result digests, the captured environment, and
-  the originating request-trace context (:mod:`repro.obs.context`);
+  configs, seed ledgers, result digests, the captured environment
+  (including the BLAS and the thread count runs hold it at), and the
+  originating request-trace context (:mod:`repro.obs.context`);
 * ``results.json`` — values, verdicts, declared volatile-value globs,
   and per-experiment wall times;
 * ``metrics.prom`` — the metrics registry in Prometheus text format;
@@ -50,6 +53,7 @@ from repro.obs.profile import (
     resolve_profile,
 )
 from repro.obs.resources import ResourceSampler, resolve_sample_interval
+from repro.utils import blas
 from repro.provenance.env import capture_environment
 from repro.provenance.manifest import ExperimentManifest
 
@@ -203,7 +207,7 @@ def execute_request(
             profiler = SamplingProfiler(profile_interval, log=profile_log)
             profiler.start()
     try:
-        with trace_context.bind(ctx):
+        with trace_context.bind(ctx), blas.single_thread():
             obs.emit(
                 "run_start", {"experiments": resolved, "smoke": request.smoke}
             )

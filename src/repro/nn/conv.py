@@ -14,7 +14,11 @@ backend (``REPRO_NN_NAIVE=1`` or :func:`repro.nn.kernels.use_naive`) and
 serves as the semantic reference for the equivalence property tests.
 Patch matrices and padded inputs live in a per-layer
 :class:`~repro.nn.kernels.ScratchCache`, so steady-state training
-allocates only the returned output/gradient arrays; the channels-inner
+allocates only the returned output/gradient arrays.  A patch matrix
+(K or K² times the input) lives only from a training forward to its
+backward: an eval forward's is a temporary, and the eval forward also
+releases the one training left behind.  A backward after an eval forward
+rebuilds the patches from the retained padded input.  The channels-inner
 ``(k, c)`` / ``(i, j, c)`` patch layout makes the packed weight a free
 reshape view of the ``(K, C, O)`` / ``(K, K, C, O)`` parameter.
 """
@@ -126,10 +130,16 @@ class Conv1D(Layer):
         x_pad, pad = self._padded(x)
         b, t_pad, _ = x_pad.shape
         t_out = (t_pad - k) // s + 1
-        cols = im2col_1d(x_pad, k, s, self._scratch)  # (B*T_out, K*C)
+        if self.training:
+            cols = im2col_1d(x_pad, k, s, self._scratch)  # (B*T_out, K*C)
+            x_eval = None
+        else:
+            self._scratch.drop("cols", "dcols")
+            cols = im2col_1d(x_pad, k, s, None)
+            x_eval = x_pad
         # (k, c) patch layout: the packed weight is a free reshape view.
         w2 = self.weight.value.reshape(k * c, o)
-        self._cache = ("im2col", t_pad, pad, t_out, b)
+        self._cache = ("im2col", t_pad, pad, t_out, b, x_eval)
         out = cols @ w2
         out += self.bias.value
         return out.reshape(b, t_out, o)
@@ -147,11 +157,14 @@ class Conv1D(Layer):
             self.weight.grad += (x2.T @ g2).reshape(1, c, o)
             self.bias.grad += g2.sum(axis=0)
             return (g2 @ self.weight.value.reshape(c, o).T).reshape(b, t, c)
-        _, t_pad, pad, t_out, b = self._cache
+        _, t_pad, pad, t_out, b, x_eval = self._cache
         k, s, c, o = self.kernel_size, self.stride, self.in_channels, self.out_channels
         grad = np.ascontiguousarray(grad)
         g2 = grad.reshape(b * t_out, o)
-        cols = self._scratch.get("cols", (b * t_out, k * c))
+        if x_eval is None:
+            cols = self._scratch.get("cols", (b * t_out, k * c))
+        else:
+            cols = im2col_1d(x_eval, k, s, None)
         # dW = colsᵀ @ grad, already laid out (k, c, o).
         dw2 = cols.T @ g2
         self.weight.grad += dw2.reshape(k, c, o)
@@ -264,10 +277,19 @@ class Conv2D(Layer):
         b, h_pad, w_pad, _ = x_pad.shape
         h_out = (h_pad - k) // s + 1
         w_out = (w_pad - k) // s + 1
-        cols = im2col_2d(x_pad, k, s, self._scratch)  # (B*H_out*W_out, K*K*C)
+        if self.training:
+            # (B*H_out*W_out, K*K*C)
+            cols = im2col_2d(x_pad, k, s, self._scratch)
+            x_eval = None
+        else:
+            self._scratch.drop("cols", "dcols")
+            cols = im2col_2d(x_pad, k, s, None)
+            x_eval = x_pad
         # (i, j, c) patch layout: the packed weight is a free reshape view.
         w2 = self.weight.value.reshape(k * k * c, o)
-        self._cache = ("im2col", h_pad, w_pad, pad_h, pad_w, h_out, w_out, b)
+        self._cache = (
+            "im2col", h_pad, w_pad, pad_h, pad_w, h_out, w_out, b, x_eval
+        )
         out = cols @ w2
         out += self.bias.value
         return out.reshape(b, h_out, w_out, o)
@@ -285,11 +307,14 @@ class Conv2D(Layer):
             self.weight.grad += (x2.T @ g2).reshape(1, 1, c, o)
             self.bias.grad += g2.sum(axis=0)
             return (g2 @ self.weight.value.reshape(c, o).T).reshape(b, h, w, c)
-        _, h_pad, w_pad, pad_h, pad_w, h_out, w_out, b = self._cache
+        _, h_pad, w_pad, pad_h, pad_w, h_out, w_out, b, x_eval = self._cache
         k, s, c, o = self.kernel_size, self.stride, self.in_channels, self.out_channels
         grad = np.ascontiguousarray(grad)
         g2 = grad.reshape(b * h_out * w_out, o)
-        cols = self._scratch.get("cols", (b * h_out * w_out, k * k * c))
+        if x_eval is None:
+            cols = self._scratch.get("cols", (b * h_out * w_out, k * k * c))
+        else:
+            cols = im2col_2d(x_eval, k, s, None)
         # dW = colsᵀ @ grad, already laid out (i, j, c, o).
         dw2 = cols.T @ g2
         self.weight.grad += dw2.reshape(k, k, c, o)
@@ -301,13 +326,16 @@ class Conv2D(Layer):
         dcols_bytes = b * h_out * w_out * k * k * c * grad.dtype.itemsize
         if dcols_bytes > 2**22 or (dcols_bytes > 2**20 and k * k * c <= 32):
             dx = np.zeros((b, h_pad, w_pad, c), dtype=grad.dtype)
+            # C-contiguous (O, C) tap weights: the strided ``.T`` view
+            # makes each stacked matmul several times slower, same bits.
+            w_t = self.weight.value.transpose(0, 1, 3, 2).copy()
             for i in range(k):
                 for j in range(k):
                     dx[
                         :,
                         i : i + h_out * s : s,
                         j : j + w_out * s : s,
-                    ] += grad @ self.weight.value[i, j].T
+                    ] += grad @ w_t[i, j]
         else:
             w2 = self.weight.value.reshape(k * k * c, o)
             dcols = self._scratch.get("dcols", (b * h_out * w_out, k * k * c))

@@ -33,7 +33,7 @@ from repro.autotune.search import GeneticTuner
 from repro.nn.conv import Conv2D
 from repro.nn.kernels import use_naive
 from repro.perf.roofline import EPYC_LIKE
-from repro.perf.timers import measure_pair
+from repro.perf.timers import MIN_VERDICT_REPEATS, loops_for, measure_pair
 
 __all__ = ["ConvCase", "conv2d_cases", "measure_case", "tune_case"]
 
@@ -93,8 +93,9 @@ def measure_case(
     """Wall-clock naive vs im2col forward+backward for one case.
 
     Returns median seconds per pass for each backend and the speedup
-    (>1 means the GEMM path is faster).  All three numbers are
-    wall-derived and must be declared volatile by callers.
+    (>1 means the GEMM path is faster), read from the best of at least
+    five interleaved samples of at least 1 ms each.  All three numbers
+    are wall-derived and must be declared volatile by callers.
     """
     rng = np.random.default_rng(seed)
     layer = Conv2D(case.in_channels, case.out_channels, case.kernel, seed=7)
@@ -115,7 +116,9 @@ def measure_case(
         layer.backward(grad)
 
     naive_m, gemm_m, speedup = measure_pair(
-        naive_pass, gemm_pass, repeats=repeats, warmup=warmup
+        naive_pass, gemm_pass,
+        repeats=max(repeats, MIN_VERDICT_REPEATS), warmup=warmup,
+        inner_loops=(loops_for(naive_pass), loops_for(gemm_pass)),
     )
     return {
         "naive_ms": float(naive_m.median * 1e3),

@@ -21,13 +21,15 @@ Two caches keep the steady state allocation-free and path-search-free:
   same shapes thousands of times (attention predicts at batch size 1 in
   the RL experiment) the search dominates the contraction.  The helper
   memoizes the optimal path per ``(subscripts, shapes)``.
-* :class:`ScratchCache` — per-layer buffers keyed on shape/dtype, so
-  patch matrices, dilated gradients, and optimizer scratch are allocated
-  once per shape and reused for the rest of training.
+* :class:`ScratchCache` — one flat per-layer buffer per tag and dtype,
+  grown to the largest request, so patch matrices and padded inputs are
+  allocated once and reused for the rest of training — a last partial
+  batch or a bigger inference batch does not leave a second copy behind.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from typing import Iterator
@@ -91,29 +93,53 @@ def cached_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 class ScratchCache:
-    """Per-owner reusable buffers keyed on ``(tag, shape, dtype)``.
+    """Per-owner reusable scratch: one flat buffer per ``(tag, dtype)``.
 
-    ``get`` returns the cached buffer uninitialized (callers overwrite it
-    entirely); ``zeros`` additionally clears it in place.  One buffer per
-    key: training loops present the same shapes step after step, so the
-    steady state performs no allocation at all.
+    ``get`` returns a C-contiguous view of the buffer's head shaped as
+    asked, uninitialized (callers overwrite it entirely); ``zeros``
+    additionally clears it in place.  The buffer grows to the largest
+    request of its tag, so a layer fed batches of 16, 15, 32 and 1 holds
+    one 32-batch buffer, not four.  Views are cached per shape, so
+    training loops that present the same shapes step after step perform
+    no allocation at all; growing a buffer drops its tag's cached views.
+    Views of one tag alias each other: a caller may rely on a view's
+    contents only until the next request for that tag in another shape.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
+        self._flat: dict[tuple, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
 
     def get(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-        return buf
+        dtype = np.dtype(dtype)
+        key = (tag, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            size = math.prod(shape)
+            flat = self._flat.get((tag, dtype))
+            if flat is None or flat.size < size:
+                flat = self._flat[(tag, dtype)] = np.empty(size, dtype=dtype)
+                self._views = {
+                    k: v for k, v in self._views.items() if k[::2] != (tag, dtype)
+                }
+            view = self._views[key] = flat[:size].reshape(shape)
+        return view
 
     def zeros(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         buf = self.get(tag, shape, dtype)
         buf[...] = 0.0
         return buf
+
+    def drop(self, *tags: str) -> None:
+        """Release the buffers of ``tags`` (every dtype)."""
+        if any(key[0] in tags for key in self._flat):
+            self._flat = {k: v for k, v in self._flat.items() if k[0] not in tags}
+            self._views = {k: v for k, v in self._views.items() if k[0] not in tags}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held across all tags."""
+        return sum(flat.nbytes for flat in self._flat.values())
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +147,17 @@ class ScratchCache:
 # ---------------------------------------------------------------------------
 
 
+def _patch_buffer(
+    scratch: ScratchCache | None, tag: str, shape: tuple[int, int], dtype
+) -> np.ndarray:
+    if scratch is None:
+        return np.empty(shape, dtype=dtype)
+    return scratch.get(tag, shape, dtype)
+
+
 def im2col_1d(
-    x: np.ndarray, kernel: int, stride: int, scratch: ScratchCache, tag: str = "cols"
+    x: np.ndarray, kernel: int, stride: int, scratch: ScratchCache | None,
+    tag: str = "cols",
 ) -> np.ndarray:
     """Patch matrix for 1-D convolution over ``(B, T, C)``.
 
@@ -130,18 +165,20 @@ def im2col_1d(
     channels innermost, so each tap copies a contiguous C-run of the
     input (3x faster gather than channel-major) and the packed weight is
     the free view ``weight.reshape(K * C, O)`` for a ``(K, C, O)`` weight.
+    With ``scratch=None`` the matrix is a fresh array owned by the caller.
     """
     b, t, c = x.shape
     t_out = (t - kernel) // stride + 1
     win = sliding_window_view(x, kernel, axis=1)[:, :: stride * 1]
     # win: (B, T_out, C, K) -> copy as (B, T_out, K, C).
-    cols = scratch.get(tag, (b * t_out, kernel * c), x.dtype)
+    cols = _patch_buffer(scratch, tag, (b * t_out, kernel * c), x.dtype)
     np.copyto(cols.reshape(b, t_out, kernel, c), win.transpose(0, 1, 3, 2))
     return cols
 
 
 def im2col_2d(
-    x: np.ndarray, kernel: int, stride: int, scratch: ScratchCache, tag: str = "cols"
+    x: np.ndarray, kernel: int, stride: int, scratch: ScratchCache | None,
+    tag: str = "cols",
 ) -> np.ndarray:
     """Patch matrix for 2-D convolution over ``(B, H, W, C)``.
 
@@ -149,14 +186,17 @@ def im2col_2d(
     ``(i, j, c)`` — channels innermost, so each of the K² taps copies a
     contiguous C-run of the input (3x faster gather than channel-major)
     and the packed weight is the free view ``weight.reshape(K * K * C, O)``
-    for a ``(K, K, C, O)`` weight.
+    for a ``(K, K, C, O)`` weight.  With ``scratch=None`` the matrix is a
+    fresh array owned by the caller.
     """
     b, h, w, c = x.shape
     h_out = (h - kernel) // stride + 1
     w_out = (w - kernel) // stride + 1
     win = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
     # win: (B, H_out, W_out, C, K, K) -> copy as (B, H_out, W_out, K, K, C).
-    cols = scratch.get(tag, (b * h_out * w_out, kernel * kernel * c), x.dtype)
+    cols = _patch_buffer(
+        scratch, tag, (b * h_out * w_out, kernel * kernel * c), x.dtype
+    )
     np.copyto(
         cols.reshape(b, h_out, w_out, kernel, kernel, c),
         win.transpose(0, 1, 2, 4, 5, 3),

@@ -54,6 +54,7 @@ from repro import obs
 from repro.obs import profile as obs_profile
 from repro.obs import resources as obs_resources
 from repro.parallel.cache import ResultCache, cache_key, code_salt
+from repro.utils import blas
 from repro.utils.rng import spawn_children
 
 __all__ = ["pmap", "resolve_workers"]
@@ -99,7 +100,10 @@ def _invoke_timed(
 
 
 def _worker_init() -> None:
-    """Pool initializer: silence telemetry inside worker processes.
+    """Pool initializer: silence telemetry and pin BLAS to one thread.
+
+    A forked worker inherits a running request's pin; a spawned one would
+    start at the host's default thread count, so every worker pins itself.
 
     Cell interiors cannot emit in canonical order from workers, so the
     coordinator's per-cell events are the single record of the run.
@@ -110,6 +114,7 @@ def _worker_init() -> None:
     it — coordinators cannot capture another process's Python stacks.
     """
     os.environ["REPRO_OBS_DISABLE"] = "1"
+    blas.pin_process()
     obs_profile.attach_worker_profiler()
 
 

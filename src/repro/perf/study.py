@@ -18,7 +18,7 @@ from repro.perf.scaling import (
     gustafson_speedup,
     karp_flatt_metric,
 )
-from repro.perf.timers import measure_pair
+from repro.perf.timers import MIN_VERDICT_REPEATS, loops_for, measure_pair
 
 __all__ = [
     "p1_roofline_of_lesson_kernels",
@@ -99,7 +99,12 @@ def p1_scaling_laws(
 def p1_vectorization_speedup(
     n: int = 256, repeats: int = 3, warmup: int = 1
 ) -> Block:
-    """A live lesson: vectorized NumPy vs a Python loop on the same matvec."""
+    """A live lesson: vectorized NumPy vs a Python loop on the same matvec.
+
+    Each side's samples are sized to last at least 1 ms, and the speedup
+    is read from the best of at least five interleaved repeats: one
+    ~10 µs matvec sample is too short to survive a single scheduler stall.
+    """
     rng = np.random.default_rng(0)
     a = rng.normal(size=(n, n))
     x = rng.normal(size=n)
@@ -116,8 +121,11 @@ def p1_vectorization_speedup(
     def vectorized():
         return a @ x
 
-    _, _, speedup = measure_pair(python_loop, vectorized, repeats=repeats,
-                                 warmup=warmup)
+    _, _, speedup = measure_pair(
+        python_loop, vectorized,
+        repeats=max(repeats, MIN_VERDICT_REPEATS), warmup=warmup,
+        inner_loops=(loops_for(python_loop), loops_for(vectorized)),
+    )
     return Block(
         values={"speedup": float(speedup)},
         tables=(

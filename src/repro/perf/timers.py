@@ -4,7 +4,10 @@ Lesson content: never report a single timing.  :func:`measure` performs
 warm-up iterations (to amortize allocator and cache effects), then repeats
 the measurement and summarizes with minimum/median/mean — the *minimum* is
 the least noise-contaminated estimate on an otherwise idle machine, which is
-why speedup ratios here are computed from minima.
+why speedup ratios here are computed from minima.  A verdict drawn from a
+timing reads the best of at least :data:`MIN_VERDICT_REPEATS` interleaved
+samples, each sized by :func:`loops_for` to outlast timer resolution and a
+single scheduler stall.
 """
 
 from __future__ import annotations
@@ -17,7 +20,18 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["Measurement", "measure", "measure_pair"]
+__all__ = [
+    "MIN_VERDICT_REPEATS",
+    "Measurement",
+    "loops_for",
+    "measure",
+    "measure_pair",
+]
+
+#: Fewest interleaved samples a timing-derived verdict is judged on.
+MIN_VERDICT_REPEATS = 5
+#: Shortest timed sample :func:`loops_for` sizes a callable to.
+_MIN_SAMPLE_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,19 +100,37 @@ def measure(
     )
 
 
+def loops_for(fn: Callable[[], object]) -> int:
+    """Calls per timed sample so that one sample lasts at least 1 ms.
+
+    Doubles the call count until one batch of calls reaches the target;
+    the calibration calls double as warm-up.
+    """
+    loops = 1
+    while True:
+        start = time.perf_counter()
+        for _ in range(loops):
+            fn()
+        if time.perf_counter() - start >= _MIN_SAMPLE_S:
+            return loops
+        loops *= 2
+
+
 def measure_pair(
     baseline: Callable[[], object],
     candidate: Callable[[], object],
     *,
     repeats: int = 7,
     warmup: int = 2,
-    inner_loops: int = 1,
+    inner_loops: int | tuple[int, int] = 1,
 ) -> tuple[Measurement, Measurement, float]:
     """Measure two callables interleaved and return their speedup.
 
     Interleaving (A, B, A, B, ...) rather than back-to-back blocks reduces
     the chance that a frequency-scaling or background-load drift biases one
     side — a standard methodology point from the lesson module.
+    ``inner_loops`` is the calls per sample, for both sides or as a
+    ``(baseline, candidate)`` pair when their per-call times differ widely.
 
     Returns
     -------
@@ -106,6 +138,11 @@ def measure_pair(
         ``speedup`` > 1 means the candidate is faster.
     """
     check_positive("repeats", repeats)
+    base_loops, cand_loops = (
+        inner_loops if isinstance(inner_loops, tuple) else (inner_loops,) * 2
+    )
+    check_positive("inner_loops", base_loops)
+    check_positive("inner_loops", cand_loops)
     for _ in range(warmup):
         baseline()
         candidate()
@@ -113,13 +150,13 @@ def measure_pair(
     cand = np.empty(repeats)
     for i in range(repeats):
         start = time.perf_counter()
-        for _ in range(inner_loops):
+        for _ in range(base_loops):
             baseline()
-        base[i] = (time.perf_counter() - start) / inner_loops
+        base[i] = (time.perf_counter() - start) / base_loops
         start = time.perf_counter()
-        for _ in range(inner_loops):
+        for _ in range(cand_loops):
             candidate()
-        cand[i] = (time.perf_counter() - start) / inner_loops
+        cand[i] = (time.perf_counter() - start) / cand_loops
 
     def summarize(name: str, s: np.ndarray) -> Measurement:
         return Measurement(

@@ -8,6 +8,8 @@ import sys
 from dataclasses import dataclass
 from importlib import metadata
 
+from repro.utils import blas
+
 __all__ = ["EnvironmentSnapshot", "capture_environment"]
 
 # Packages whose versions materially affect numerical results here.
@@ -22,6 +24,10 @@ class EnvironmentSnapshot:
     platform: str
     machine: str
     packages: tuple[tuple[str, str], ...]
+    #: The loaded BLAS libraries and the thread count runs hold them at
+    #: (:func:`repro.utils.blas.describe`).
+    blas_library: tuple[str, ...] = ()
+    blas_threads: int | str = "unpinned"
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -29,6 +35,7 @@ class EnvironmentSnapshot:
             "platform": self.platform,
             "machine": self.machine,
             "packages": dict(self.packages),
+            "blas": {"library": list(self.blas_library), "threads": self.blas_threads},
         }
 
     def differs_from(self, other: "EnvironmentSnapshot") -> list[str]:
@@ -40,6 +47,10 @@ class EnvironmentSnapshot:
             )
         if self.platform != other.platform:
             diffs.append(f"platform: {self.platform} vs {other.platform}")
+        mine_blas = (self.blas_library, self.blas_threads)
+        theirs_blas = (other.blas_library, other.blas_threads)
+        if mine_blas != theirs_blas:
+            diffs.append(f"blas: {mine_blas} vs {theirs_blas}")
         mine, theirs = dict(self.packages), dict(other.packages)
         for name in sorted(set(mine) | set(theirs)):
             a, b = mine.get(name, "absent"), theirs.get(name, "absent")
@@ -50,7 +61,7 @@ class EnvironmentSnapshot:
 
 @functools.cache
 def capture_environment() -> EnvironmentSnapshot:
-    """Snapshot the interpreter, platform, and tracked package versions.
+    """Snapshot the interpreter, platform, tracked package versions and BLAS.
 
     Captured once per process: each ``metadata.version`` call parses a
     package's METADATA file, a cost a long-lived serve worker would
@@ -61,6 +72,7 @@ def capture_environment() -> EnvironmentSnapshot:
     frozen, so sharing it is safe; ``capture_environment.__wrapped__()``
     takes an un-memoized one.
     """
+    blas_info = blas.describe()
     packages = []
     for name in _TRACKED_PACKAGES:
         try:
@@ -72,4 +84,6 @@ def capture_environment() -> EnvironmentSnapshot:
         platform=platform.platform(),
         machine=platform.machine(),
         packages=tuple(packages),
+        blas_library=tuple(blas_info["library"]),
+        blas_threads=blas_info["threads"],
     )

@@ -263,3 +263,25 @@ class TestPostprocessing:
         estimates = counting_baseline(clean)
         mae = float(np.mean(np.abs(estimates - clean.cell_counts)))
         assert mae < 1.5
+
+
+class TestMemory:
+    def test_smoke_e7_peak_allocation_is_bounded(self):
+        """E7 at smoke tier peaks at <= 40 MB of traced allocations.
+
+        A conv layer keeps one patch matrix per tag, for its training
+        batch only, and drops it on its first eval forward; keeping one
+        per batch shape ever seen peaked near 68 MB.  tracemalloc counts
+        bytes, so the bound holds on any host.
+        """
+        import tracemalloc
+
+        from repro.exp.registry import get_experiment
+
+        tracemalloc.start()
+        try:
+            get_experiment("E7").run(smoke=True, workers=1, cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, f"E7 peaked at {peak / 2**20:.1f} MB"

@@ -304,6 +304,55 @@ def test_scratch_cache_reuses_buffers_per_key():
     assert not z.any()
 
 
+def test_scratch_cache_holds_only_the_largest_buffer():
+    cache = ScratchCache()
+    for batch in (16, 15, 32, 1):
+        view = cache.get("cols", (batch, 5, 3))
+        assert view.shape == (batch, 5, 3) and view.flags.c_contiguous
+    assert cache.nbytes == 32 * 5 * 3 * 8
+    assert cache.get("cols", (1, 5, 3)) is view
+    cache.drop("cols")
+    assert cache.nbytes == 0
+
+
+def _conv_pair(cls, seed=3):
+    """Two identically initialised layers and a matching input/gradient."""
+    rng = np.random.default_rng(seed)
+    if cls is Conv1D:
+        x = rng.standard_normal((4, 11, 3))
+        layers = [Conv1D(3, 5, 3, seed=seed) for _ in range(2)]
+    else:
+        x = rng.standard_normal((4, 7, 6, 3))
+        layers = [Conv2D(3, 5, 3, seed=seed) for _ in range(2)]
+    grad = rng.standard_normal(layers[0].forward(x).shape)
+    return layers, x, grad
+
+
+@pytest.mark.parametrize("cls", [Conv1D, Conv2D])
+def test_eval_forward_leaves_no_patch_matrix(cls):
+    (layer, _), x, grad = _conv_pair(cls)
+    layer.forward(x)
+    layer.backward(grad)
+    x_pad_bytes = layer._padded(x)[0].nbytes
+    assert layer._scratch.nbytes > x_pad_bytes  # training kept its patches
+    layer.eval()
+    layer.forward(x)
+    # Only the padded input is left: no patch matrix, no patch gradient.
+    assert layer._scratch.nbytes == x_pad_bytes
+
+
+@pytest.mark.parametrize("cls", [Conv1D, Conv2D])
+def test_eval_backward_equals_training_backward_bitwise(cls):
+    (trained, evaluated), x, grad = _conv_pair(cls)
+    evaluated.eval()
+    out_t, out_e = trained.forward(x), evaluated.forward(x)
+    dx_t, dx_e = trained.backward(grad), evaluated.backward(grad)
+    assert np.array_equal(out_t, out_e)
+    assert np.array_equal(dx_t, dx_e)
+    assert np.array_equal(trained.weight.grad, evaluated.weight.grad)
+    assert np.array_equal(trained.bias.grad, evaluated.bias.grad)
+
+
 def test_use_naive_is_reentrant():
     assert backend() == "im2col"
     with use_naive():
