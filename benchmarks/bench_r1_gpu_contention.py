@@ -15,7 +15,6 @@ from conftest import emit
 
 from repro.cluster import (
     ClusterSimulator,
-    SchedulerPolicy,
     generate_workload,
     naive_deadline_submission,
 )
@@ -69,7 +68,7 @@ def test_simulator_event_throughput(benchmark):
     jobs = generate_workload(PROJECTS, submit_times=times, seed=42)
 
     def run():
-        sim = ClusterSimulator(N_GPUS, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(N_GPUS, policy="backfill")
         sim.run(list(jobs))
         return sim.events.events_fired
 

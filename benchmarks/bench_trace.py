@@ -17,7 +17,6 @@ import json
 from conftest import emit
 
 from repro import obs
-from repro.cluster.scheduler import SchedulerPolicy
 from repro.cluster.study import run_policy_traced
 from repro.obs.trace import TraceReader, render_summary
 from repro.parallel import ResultCache, pmap
@@ -57,7 +56,7 @@ def test_trace_reader_recovers_a_live_sweep(benchmark, tmp_path):
 def test_trace_reader_recovers_cluster_contention(benchmark):
     def run():
         return run_policy_traced([5.0] * 8, n_gpus=2,
-                                 policy=SchedulerPolicy.FIFO)
+                                 policy="fifo")
 
     metrics, contention = benchmark.pedantic(run, rounds=1, iterations=1)
     assert contention is not None

@@ -16,7 +16,6 @@ import sys
 
 from repro.cluster import (
     ClusterSimulator,
-    SchedulerPolicy,
     evaluate_schedule,
     generate_workload,
     naive_deadline_submission,
@@ -45,7 +44,7 @@ def main(n_gpus: int = 6) -> None:
     )
     for name, times in policies.items():
         jobs = generate_workload(projects, submit_times=times, seed=42)
-        sim = ClusterSimulator(n_gpus, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(n_gpus, policy="backfill")
         m = evaluate_schedule(sim.run(jobs))
         table.add_row([name, m.mean_wait, m.p95_wait, m.missed_deadlines, m.makespan])
     print(table.render())
@@ -55,7 +54,7 @@ def main(n_gpus: int = 6) -> None:
     jobs = generate_workload(
         projects, submit_times=policies["naive deadline rush"], seed=42
     )
-    sim = ClusterSimulator(n_gpus, policy=SchedulerPolicy.BACKFILL)
+    sim = ClusterSimulator(n_gpus, policy="backfill")
     records = sim.run(jobs)
     lateness: dict[str, float] = {}
     for record in records:

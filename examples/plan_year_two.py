@@ -14,7 +14,6 @@ program director would want before changing a funded program.
 
 from repro.cluster import (
     ClusterSimulator,
-    SchedulerPolicy,
     evaluate_schedule,
     generate_workload,
     naive_deadline_submission,
@@ -59,7 +58,7 @@ def main() -> None:
     ):
         jobs = generate_workload(projects, submit_times=times, seed=42)
         m = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(jobs)
+            ClusterSimulator(6, policy="backfill").run(jobs)
         )
         table.add_row([name, m.p95_wait, m.missed_deadlines])
     print(table.render())

@@ -14,8 +14,7 @@ objects — no entry point has private orchestration anymore.
   projection under which a served run and a CLI run of the same request
   are byte-identical.
 * :mod:`repro.api.execution` — :func:`execute_request`, the single
-  orchestration path (events, manifest, results, metrics, run index),
-  hoisted out of ``repro.exp.runner``.
+  orchestration path (events, manifest, results, metrics, run index).
 * :mod:`repro.api.catalog` — the :class:`Catalog` facade
   (``experiments`` / ``execute`` / ``submit`` / ``status`` / ``results``
   / ``cancel``) over a pluggable backend; :class:`InlineBackend` runs

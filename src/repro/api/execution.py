@@ -1,8 +1,7 @@
 """The one orchestration path every front door shares.
 
-:func:`execute_request` is the hoisted body of what used to live in
-``repro.exp.runner.run_experiments``: given a validated
-:class:`~repro.api.types.RunRequest` it runs each resolved experiment,
+:func:`execute_request` is the one way to run catalog experiments: given
+a validated :class:`~repro.api.types.RunRequest` it runs each resolved experiment,
 stamps provenance, logs telemetry, and (when given a run directory)
 writes the artifact set atomically.  Experiments run with the loaded BLAS
 held at one thread (:mod:`repro.utils.blas`) rather than the host's
@@ -24,9 +23,7 @@ default BLAS thread count:
 The CLI (``repro run/report/check``), the serving worker pool
 (:mod:`repro.serve.queue`), and the test suite all call this one
 function, so a run's on-disk shape cannot drift between entry points —
-the serving layer's bit-identity guarantee rests on that.  The legacy
-``run_experiments(ids, smoke=..., ...)`` signature survives as a thin
-adapter in :mod:`repro.exp.runner`.
+the serving layer's bit-identity guarantee rests on that.
 """
 
 from __future__ import annotations

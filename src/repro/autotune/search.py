@@ -28,12 +28,7 @@ from repro.autotune.frameworks import FrameworkProfile
 from repro.autotune.kernels import KernelSpec
 from repro.autotune.schedule import Parallelize, Schedule, Tile, Unroll, Vectorize
 from repro.parallel.runner import pmap
-from repro.parallel.study import (
-    DEFAULT_CACHE,
-    StudyRecord,
-    StudyResult,
-    warn_deprecated_form,
-)
+from repro.parallel.study import StudyRecord, StudyResult
 from repro.utils.rng import as_generator
 from repro.utils.tables import Table
 
@@ -326,7 +321,7 @@ class RandomSearchResult(StudyResult):
 
 def _random_search_once(
     cfg: RandomSearchConfig,
-    seed: int | np.random.Generator | None,
+    seed: int,
     workers: int | None,
 ) -> TuneResult:
     """One seeded random search — the original E5 baseline, unchanged."""
@@ -349,19 +344,12 @@ def _random_search_once(
 
 
 def random_search(
-    config: RandomSearchConfig | KernelSpec,
-    cost_model: CostModel | None = None,
-    framework: FrameworkProfile | None = None,
+    config: RandomSearchConfig,
     *,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
     workers: int | None = None,
-    cache: Any = DEFAULT_CACHE,
-    n_trials: int = 200,
-    seed: int | np.random.Generator | None = 0,
-) -> RandomSearchResult | TuneResult:
-    """Uniform random schedule search — the ablation baseline for E5.
-
-    Unified form (the Study API)::
+) -> RandomSearchResult:
+    """Uniform random schedule search — the ablation baseline for E5::
 
         random_search(RandomSearchConfig(kernel, cost_model, framework),
                       seeds=[0, 1, 2], workers=4)
@@ -371,51 +359,22 @@ def random_search(
     seed-to-seed variance; ``best`` picks the overall winner.  Candidate
     genomes are drawn up front on a single seeded stream, then costed
     through the same batched fitness path as the genetic tuner, so every
-    search returns the identical result under any worker count.  The
-    ``cache`` keyword exists for signature uniformity but is ignored:
-    analytic cost evaluations are microseconds each, far below the
-    cache's round-trip cost.
-
-    The legacy form ``random_search(kernel, cost_model, framework,
-    n_trials=.., seed=..)`` is deprecated and returns the single
-    :class:`TuneResult` it always did.
+    search returns the identical result under any worker count.  There is
+    no ``cache`` keyword: analytic cost evaluations are microseconds each,
+    far below the cache's round-trip cost.
     """
-    del cache  # accepted for uniformity; see docstring
-    if isinstance(config, RandomSearchConfig):
-        if cost_model is not None or framework is not None:
-            raise TypeError(
-                "the unified form takes only (config, *, seeds, workers, cache)"
-            )
-        if seeds is None or len(list(seeds)) == 0:
-            raise ValueError("the unified form requires a non-empty seeds sequence")
-        search_seeds = tuple(int(s) for s in seeds)
-        per_seed = tuple(
-            _random_search_once(config, s, workers) for s in search_seeds
+    search_seeds = tuple(int(s) for s in seeds)
+    if not search_seeds:
+        raise ValueError("random_search requires a non-empty seeds sequence")
+    per_seed = tuple(_random_search_once(config, s, workers) for s in search_seeds)
+    records = tuple(
+        StudyRecord(
+            config={"kernel": config.kernel.name, "n_trials": config.n_trials},
+            seed=s,
+            value=float(result.best_estimate.total_s),
         )
-        records = tuple(
-            StudyRecord(
-                config={"kernel": config.kernel.name, "n_trials": config.n_trials},
-                seed=s,
-                value=float(result.best_estimate.total_s),
-            )
-            for s, result in zip(search_seeds, per_seed)
-        )
-        return RandomSearchResult(
-            per_seed=per_seed, seeds=search_seeds, trial_records=records
-        )
-
-    warn_deprecated_form(
-        "random_search", "RandomSearchConfig(kernel, cost_model, framework)"
+        for s, result in zip(search_seeds, per_seed)
     )
-    if cost_model is None or framework is None:
-        raise TypeError(
-            "legacy random_search(kernel, cost_model, framework) needs "
-            "cost_model and framework"
-        )
-    cfg = RandomSearchConfig(
-        kernel=config,
-        cost_model=cost_model,
-        framework=framework,
-        n_trials=n_trials,
+    return RandomSearchResult(
+        per_seed=per_seed, seeds=search_seeds, trial_records=records
     )
-    return _random_search_once(cfg, seed, workers)

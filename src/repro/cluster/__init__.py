@@ -36,7 +36,7 @@ from repro.cluster.policies import (
     uniform_submission,
 )
 from repro.cluster.resources import GPUPool, ResourceVector
-from repro.cluster.scheduler import ClusterSimulator, SchedulerPolicy
+from repro.cluster.scheduler import ClusterSimulator
 from repro.cluster.scheduling import (
     SchedulingPolicy,
     available_policies,
@@ -70,7 +70,6 @@ __all__ = [
     "GPUPool",
     "ResourceVector",
     "ClusterSimulator",
-    "SchedulerPolicy",
     "SchedulingPolicy",
     "get_policy",
     "register_policy",

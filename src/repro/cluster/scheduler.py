@@ -15,12 +15,10 @@ The simulator is three layers now:
   :class:`~repro.cluster.resources.ResourceVector` pool, gpu-only by
   default for seed bit-compatibility.
 
-:class:`SchedulerPolicy` — the seed's four-member enum — remains as the
-legacy spelling; each member resolves through the policy registry
-(:func:`repro.cluster.scheduling.get_policy`), so existing call sites and
-the R1 tables are byte-identical while new call sites may pass registry
-names (``"conservative"``, ``"hybrid-4"``, ``"conservative-edf"``) or
-policy instances directly.
+A policy is named by its registry name (``"fifo"``, ``"backfill"``,
+``"conservative"``, ``"hybrid-4"``, ``"conservative-edf"``), resolved by
+:func:`repro.cluster.scheduling.get_policy`, or passed as a policy
+instance.
 
 The simulator narrates itself through :mod:`repro.obs`: ``job_submit`` /
 ``job_start`` / ``job_finish`` events carry the deterministic simulation
@@ -32,7 +30,6 @@ a higher-priority arrival displaces it), and a ``cluster_run_start`` /
 
 from __future__ import annotations
 
-import enum
 import heapq
 import time
 from collections import deque
@@ -44,37 +41,13 @@ from repro.cluster.jobs import Job, JobRecord, JobState
 from repro.cluster.resources import GPUPool
 from repro.cluster.scheduling import SchedulingPolicy, get_policy
 
-__all__ = ["SchedulerPolicy", "ClusterSimulator"]
+__all__ = ["ClusterSimulator"]
 
 # Event priorities: completions must be processed before submissions at the
 # same instant so freed GPUs are visible, and dispatch runs last.
 _PRIORITY_COMPLETE = 0
 _PRIORITY_SUBMIT = 1
 _PRIORITY_DISPATCH = 2
-
-
-class SchedulerPolicy(enum.Enum):
-    """Legacy queue-discipline spelling (now a policy-registry alias).
-
-    ``FIFO`` and ``BACKFILL`` are deadline-blind (slurm's defaults).
-    ``EDF`` re-sorts the pending queue by earliest deadline at each
-    dispatch — modelling course staff assigning priorities by poster date;
-    it still head-blocks like FIFO once sorted.  ``FAIRSHARE`` re-sorts by
-    each project's committed GPU-hours so far (slurm's fair-share idea):
-    the paper notes "some students launched a job requiring a huge
-    allocation" while "others ... were stuck" — fair-share lets the light
-    users cut ahead of a heavy user's queue.
-
-    Each member's value is its :mod:`repro.cluster.scheduling` registry
-    name; the full policy family (conservative, hybrid-k, ordered
-    variants) is reachable by passing a registry name or policy instance
-    to :class:`ClusterSimulator` instead of an enum member.
-    """
-
-    FIFO = "fifo"
-    BACKFILL = "backfill"
-    EDF = "edf"
-    FAIRSHARE = "fairshare"
 
 
 class ClusterSimulator:
@@ -85,8 +58,8 @@ class ClusterSimulator:
     n_gpus:
         Pool capacity.
     policy:
-        Queue discipline: a :class:`SchedulerPolicy` member, a policy
-        registry name (``"conservative"``, ``"hybrid-4"``, ...), or a
+        Queue discipline: a policy registry name (``"fifo"``,
+        ``"backfill"``, ``"conservative"``, ``"hybrid-4"``, ...) or a
         :class:`~repro.cluster.scheduling.SchedulingPolicy` instance.
     mem_capacity:
         Optional pool memory (GB).  ``0.0`` — the default — leaves the
@@ -106,7 +79,7 @@ class ClusterSimulator:
         self,
         n_gpus: int,
         *,
-        policy: SchedulerPolicy | SchedulingPolicy | str = SchedulerPolicy.FIFO,
+        policy: SchedulingPolicy | str = "fifo",
         mem_capacity: float = 0.0,
     ) -> None:
         self.pool = GPUPool(n_gpus, mem_capacity=mem_capacity)

@@ -20,10 +20,9 @@ fair-share), depth 1 is EASY, depth *k* is hybrid-*k*, depth ``None``
 is conservative backfill.
 
 Policies register under a name; :func:`get_policy` resolves names
-(including parameterized ``"hybrid-<k>"`` forms), legacy
-:class:`~repro.cluster.scheduler.SchedulerPolicy` enum members, and
-ready-made instances.  ``"backfill"`` — the seed's name for EASY — stays
-registered so existing call sites and R1 tables are untouched.
+(including parameterized ``"hybrid-<k>"`` forms) and ready-made
+instances.  ``"backfill"`` — the seed's name for EASY — stays registered
+so the R1 tables are untouched.
 
 Byte-compatibility note: :class:`EasyBackfill` keeps the seed's exact
 shadow-time/extra-GPUs accounting (a per-job walk over the running set,
@@ -186,7 +185,10 @@ class FifoPolicy(SchedulingPolicy):
 
 
 class EdfPolicy(SchedulingPolicy):
-    """Earliest poster deadline first; still head-blocks once sorted."""
+    """Earliest poster deadline first; still head-blocks once sorted.
+
+    Models course staff assigning priorities by poster date.
+    """
 
     name = "edf"
     reserve_depth = 0
@@ -196,7 +198,11 @@ class EdfPolicy(SchedulingPolicy):
 
 
 class FairsharePolicy(SchedulingPolicy):
-    """Lightest committed-GPU-hours project first (slurm fair-share)."""
+    """Lightest committed-GPU-hours project first (slurm fair-share).
+
+    Light users cut ahead of a heavy user's queue: the paper notes that
+    while some students launched huge allocations, others were stuck.
+    """
 
     name = "fairshare"
     reserve_depth = 0
@@ -316,25 +322,23 @@ def available_policies() -> list[str]:
 def get_policy(spec) -> SchedulingPolicy:
     """Resolve ``spec`` into a fresh :class:`SchedulingPolicy` instance.
 
-    Accepts a policy instance (returned as-is), a legacy
-    :class:`~repro.cluster.scheduler.SchedulerPolicy` enum member, or a
-    registry name.  ``"hybrid-<k>"`` and ``"conservative-<key>"`` /
-    ``"hybrid-<k>-<key>"`` forms are parsed structurally, so any depth
-    and any order key compose without pre-registration.
+    Accepts a policy instance (returned as-is) or a registry name.
+    ``"hybrid-<k>"`` and ``"conservative-<key>"`` / ``"hybrid-<k>-<key>"``
+    forms are parsed structurally, so any depth and any order key compose
+    without pre-registration.
     """
     if isinstance(spec, SchedulingPolicy):
         return spec
-    name = getattr(spec, "value", spec)
-    if not isinstance(name, str):
+    if not isinstance(spec, str):
         raise TypeError(f"cannot resolve scheduling policy from {spec!r}")
-    key = name.lower()
+    key = spec.lower()
     if key in _REGISTRY:
         return _REGISTRY[key]()
     parsed = _parse_parameterized(key)
     if parsed is not None:
         return parsed
     raise KeyError(
-        f"unknown scheduling policy {name!r}; registered: "
+        f"unknown scheduling policy {spec!r}; registered: "
         f"{', '.join(available_policies())} (plus hybrid-<k>[-<key>] and "
         f"conservative-<key> forms)"
     )

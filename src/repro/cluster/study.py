@@ -20,7 +20,7 @@ from repro.cluster.policies import (
     staged_batch_submission,
     uniform_submission,
 )
-from repro.cluster.scheduler import ClusterSimulator, SchedulerPolicy
+from repro.cluster.scheduler import ClusterSimulator
 from repro.cluster.workload import (
     default_reu_projects,
     generate_workload,
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def run_policy(times, n_gpus: int = 6, policy=SchedulerPolicy.BACKFILL,
+def run_policy(times, n_gpus: int = 6, policy="backfill",
                seed: int = 42, projects=None):
     """One season workload under one submission-time plan and discipline."""
     projects = default_reu_projects() if projects is None else projects
@@ -52,7 +52,7 @@ def run_policy(times, n_gpus: int = 6, policy=SchedulerPolicy.BACKFILL,
 
 
 def run_policy_traced(times, n_gpus: int = 6,
-                      policy=SchedulerPolicy.BACKFILL, seed: int = 42,
+                      policy="backfill", seed: int = 42,
                       projects=None):
     """Like :func:`run_policy`, plus trace-derived contention analytics.
 
@@ -134,13 +134,9 @@ def r1_scheduler_ablation(n_gpus: int = 6, submit_seed: int = 1,
     projects = default_reu_projects()
     times = naive_deadline_submission(projects, seed=submit_seed)
     metrics = {
-        name: run_policy(times, n_gpus, policy, seed=workload_seed,
+        name: run_policy(times, n_gpus, name, seed=workload_seed,
                          projects=projects)
-        for name, policy in (
-            ("fifo", SchedulerPolicy.FIFO),
-            ("backfill", SchedulerPolicy.BACKFILL),
-            ("edf", SchedulerPolicy.EDF),
-        )
+        for name in ("fifo", "backfill", "edf")
     }
     return Block(
         values={
@@ -172,7 +168,7 @@ def r1_pool_size_sweep(pool_sizes=(4, 6, 8, 12, 16), submit_seed: int = 1,
     rows = []
     for n in pool_sizes:
         jobs = generate_workload(projects, submit_times=times, seed=workload_seed)
-        sim = ClusterSimulator(n, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(n, policy="backfill")
         m = evaluate_schedule(sim.run(jobs))
         rows.append((n, m.missed_deadlines, m.p95_wait))
     return Block(

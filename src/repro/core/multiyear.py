@@ -32,13 +32,8 @@ from repro.core.topics import (
     sample_interest_profiles,
     targeted_policy,
 )
-from repro.parallel.study import (
-    DEFAULT_CACHE,
-    StudyRecord,
-    StudyResult,
-    resolve_cache,
-    warn_deprecated_form,
-)
+from repro.parallel.cache import ResultCache
+from repro.parallel.study import StudyRecord, StudyResult, resolve_cache
 from repro.parallel.sweep import Sweep
 from repro.utils.rng import SeedSequenceLedger, spawn_children
 from repro.utils.tables import Table
@@ -251,22 +246,34 @@ class PlanSweepResult(StudyResult):
         return table.render()
 
 
-def _plan_sweep(
-    cfg: CollectionPlanConfig,
-    seeds: tuple[int, ...],
-    workers: int | None,
-    cache,
+def collection_plan_sweep(
+    config: CollectionPlanConfig,
+    *,
+    seeds: tuple[int, ...] = tuple(range(6)),
+    workers: int | None = None,
+    cache: bool | ResultCache | None = True,
 ) -> PlanSweepResult:
-    """Run the plans × seeds grid through one ``Sweep`` and summarize."""
+    """The F1 exit-survey experiment: plans × seeds through one ``Sweep``::
+
+        collection_plan_sweep(CollectionPlanConfig(plans=[...]),
+                              seeds=range(6), workers=4)
+
+    Every plan is run over the same seed list (paired design) and each
+    (plan, seed) season is an independent cell, so the sweep parallelizes
+    and caches through :mod:`repro.parallel` with bit-identical results at
+    any worker count.  ``boost_spread`` is the seed-to-seed standard
+    deviation of each Table-2 skill boost, averaged over skills — the
+    estimate-stability number the paper's year-two discussion cares about.
+    """
     sweep = Sweep(
         _plan_cell,
-        configs=[{"plan": plan} for _, plan in cfg.plans],
-        seeds=list(seeds),
+        configs=[{"plan": plan} for _, plan in config.plans],
+        seeds=[int(s) for s in seeds],
         name="collection-plans",
     )
-    result = sweep.run(workers=workers, cache=cache)
+    result = sweep.run(workers=workers, cache=resolve_cache(cache))
     comparisons = []
-    for name, plan in cfg.plans:
+    for name, plan in config.plans:
         cells = result.select(plan=plan)
         boosts = np.array([c["boosts"] for c in cells])
         comparisons.append(
@@ -280,42 +287,6 @@ def _plan_sweep(
     return PlanSweepResult(
         comparisons=tuple(comparisons), trial_records=result.records
     )
-
-
-def collection_plan_sweep(
-    config: CollectionPlanConfig | list[tuple[str, AttritionPlan]],
-    *,
-    seeds: tuple[int, ...] = tuple(range(6)),
-    workers: int | None = None,
-    cache=DEFAULT_CACHE,
-) -> PlanSweepResult | list[PlanComparison]:
-    """The F1 exit-survey experiment: plans × seeds through one ``Sweep``.
-
-    Unified form (the Study API)::
-
-        collection_plan_sweep(CollectionPlanConfig(plans=[...]),
-                              seeds=range(6), workers=4)
-
-    Every plan is run over the same seed list (paired design) and each
-    (plan, seed) season is an independent cell, so the sweep parallelizes
-    and caches through :mod:`repro.parallel` with bit-identical results at
-    any worker count.  ``boost_spread`` is the seed-to-seed standard
-    deviation of each Table-2 skill boost, averaged over skills — the
-    estimate-stability number the paper's year-two discussion cares about.
-
-    The legacy form — a plain plan list first, returning a
-    ``list[PlanComparison]`` — is deprecated but unchanged in behaviour
-    (and keeps caching off unless a cache is passed explicitly).
-    """
-    if isinstance(config, CollectionPlanConfig):
-        return _plan_sweep(
-            config, tuple(int(s) for s in seeds), workers, resolve_cache(cache)
-        )
-    warn_deprecated_form("collection_plan_sweep", "CollectionPlanConfig(plans=[...])")
-    cfg = CollectionPlanConfig(plans=tuple(config))
-    legacy_cache = None if cache is DEFAULT_CACHE else resolve_cache(cache)
-    result = _plan_sweep(cfg, tuple(int(s) for s in seeds), workers, legacy_cache)
-    return list(result.comparisons)
 
 
 def _run_season_with_cohort(

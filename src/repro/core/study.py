@@ -47,7 +47,7 @@ from repro.exp.registry import Experiment, register
 from repro.exp.reporting import rows_table
 from repro.exp.result import Block, Check, ExpResult, Verdict
 from repro.parallel import pmap
-from repro.parallel.study import DEFAULT_CACHE, resolve_cache
+from repro.parallel.study import resolve_cache
 
 __all__ = [
     "season_boosts",
@@ -483,7 +483,7 @@ def f1_curriculum_policies(n_students: int = 15, seed: int = 0) -> Block:
 
 
 def f1_exit_survey_plans(
-    n_seeds: int = 6, *, workers: int | None = None, cache: Any = DEFAULT_CACHE
+    n_seeds: int = 6, *, workers: int | None = None, cache: Any = True
 ) -> Block:
     """The three §4 collection plans, 6 seeds each, via repro.parallel."""
     plans = (

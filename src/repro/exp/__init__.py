@@ -10,6 +10,7 @@ reports, and checks any subset of the catalog with provenance manifests
 and :mod:`repro.obs` event logs per run.
 """
 
+from repro.api.execution import RunRecord, RunSummary
 from repro.exp.registry import (
     Experiment,
     all_experiments,
@@ -20,7 +21,6 @@ from repro.exp.registry import (
 )
 from repro.exp.reporting import paper_comparison, rows_table, verdict_table
 from repro.exp.result import Block, Check, ExpResult, Verdict
-from repro.exp.runner import RunRecord, RunSummary, run_experiments
 
 __all__ = [
     "Experiment",
@@ -38,5 +38,4 @@ __all__ = [
     "Verdict",
     "RunRecord",
     "RunSummary",
-    "run_experiments",
 ]

@@ -4,10 +4,8 @@
 (:mod:`repro.parallel.study`): pass a :class:`KFoldConfig` plus
 ``seeds=...`` and each seed drives one independent fold split — repeated
 k-fold cross-validation — returning a :class:`KFoldResult` with per-fold
-``records``, a ``summary()``, and ``to_table()``.  The historical
-``kfold_evaluate(dataset, train_fn, n_folds=.., seed=..)`` form still
-works through a deprecation shim and returns the plain
-:class:`FoldScore` it always did.
+``records``, a ``summary()``, and ``to_table()``.  One split's
+:class:`FoldScore` is ``kfold_evaluate(cfg, seeds=[s]).scores[0]``.
 """
 
 from __future__ import annotations
@@ -22,12 +20,7 @@ from repro.histopath.data import PatchDataset
 from repro.histopath.metrics import count_mae, dice_score
 from repro.histopath.model import MultiTaskModel
 from repro.parallel.runner import pmap
-from repro.parallel.study import (
-    DEFAULT_CACHE,
-    StudyRecord,
-    StudyResult,
-    warn_deprecated_form,
-)
+from repro.parallel.study import StudyRecord, StudyResult
 from repro.utils.rng import as_generator
 from repro.utils.tables import Table
 
@@ -136,7 +129,7 @@ class KFoldResult(StudyResult):
 
 def _evaluate_split(
     cfg: KFoldConfig,
-    seed: int | np.random.Generator | None,
+    seed: int,
     workers: int | None,
 ) -> tuple[FoldScore, list[StudyRecord]]:
     """One k-fold split: deterministic fold assignment, fan-out training."""
@@ -167,18 +160,12 @@ def _evaluate_split(
 
 
 def kfold_evaluate(
-    config: KFoldConfig | PatchDataset,
-    train_fn: Callable[[PatchDataset, int], MultiTaskModel] | None = None,
+    config: KFoldConfig,
     *,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
     workers: int | None = None,
-    cache: Any = DEFAULT_CACHE,
-    n_folds: int = 3,
-    seed: int | np.random.Generator | None = 0,
-) -> KFoldResult | FoldScore:
-    """Cross-validate a training configuration.
-
-    Unified form (the Study API)::
+) -> KFoldResult:
+    """Cross-validate a training configuration::
 
         kfold_evaluate(KFoldConfig(dataset, train_fn, n_folds=3),
                        seeds=[0, 1], workers=4)
@@ -186,47 +173,29 @@ def kfold_evaluate(
     Each seed deterministically drives one independent fold split, so the
     result is repeated k-fold cross-validation; fold training fans out
     over ``workers`` processes with identical scores either way (the fold
-    split and each fold's training are fixed before dispatch).  The
-    ``cache`` keyword exists for signature uniformity but is ignored:
-    ``train_fn`` is typically a closure over hyper-parameters, which
-    cannot be content-addressed soundly, so fold training always
-    re-executes.
-
-    The legacy form ``kfold_evaluate(dataset, train_fn, n_folds=..,
-    seed=..)`` is deprecated and returns the single-split
-    :class:`FoldScore` it always did.
+    split and each fold's training are fixed before dispatch).  There is
+    no ``cache`` keyword: ``train_fn`` is typically a closure over
+    hyper-parameters, which cannot be content-addressed soundly, so fold
+    training always re-executes.
     """
-    del cache  # accepted for uniformity; see docstring
-    if isinstance(config, KFoldConfig):
-        if train_fn is not None:
-            raise TypeError(
-                "the unified form takes only (config, *, seeds, workers, cache)"
+    split_seeds = tuple(int(s) for s in seeds)
+    if not split_seeds:
+        raise ValueError("kfold_evaluate requires a non-empty seeds sequence")
+    scores: list[FoldScore] = []
+    records: list[StudyRecord] = []
+    for split_seed in split_seeds:
+        score, split_records = _evaluate_split(config, split_seed, workers)
+        scores.append(score)
+        records.extend(
+            StudyRecord(
+                config={**r.config, "split_seed": split_seed},
+                seed=split_seed,
+                value=r.value,
             )
-        if seeds is None or len(list(seeds)) == 0:
-            raise ValueError("the unified form requires a non-empty seeds sequence")
-        split_seeds = tuple(int(s) for s in seeds)
-        scores: list[FoldScore] = []
-        records: list[StudyRecord] = []
-        for split_seed in split_seeds:
-            score, split_records = _evaluate_split(config, split_seed, workers)
-            scores.append(score)
-            records.extend(
-                StudyRecord(
-                    config={**r.config, "split_seed": split_seed},
-                    seed=split_seed,
-                    value=r.value,
-                )
-                for r in split_records
-            )
-        return KFoldResult(
-            scores=tuple(scores),
-            seeds=split_seeds,
-            trial_records=tuple(records),
+            for r in split_records
         )
-
-    warn_deprecated_form("kfold_evaluate", "KFoldConfig(dataset, train_fn)")
-    if train_fn is None:
-        raise TypeError("legacy kfold_evaluate(dataset, train_fn) needs train_fn")
-    cfg = KFoldConfig(dataset=config, train_fn=train_fn, n_folds=n_folds)
-    score, _ = _evaluate_split(cfg, seed, workers)
-    return score
+    return KFoldResult(
+        scores=tuple(scores),
+        seeds=split_seeds,
+        trial_records=tuple(records),
+    )

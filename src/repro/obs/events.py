@@ -110,6 +110,19 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def append_line(fd: int, data: bytes, path: str | os.PathLike) -> None:
+    """Append one whole record with a single ``os.write``.
+
+    A short write (full disk, quota) would leave a torn line that later
+    appends bury mid-file, so it raises :class:`OSError` naming *path*.
+    """
+    written = os.write(fd, data)
+    if written != len(data):
+        raise OSError(
+            f"short write to {os.fspath(path)}: {written} of {len(data)} bytes"
+        )
+
+
 class EventLog:
     """An append-only JSONL event sink.
 
@@ -131,8 +144,8 @@ class EventLog:
 
     Appends are a single ``os.write`` to an ``O_APPEND`` descriptor, so a
     record is written atomically: concurrent writers may interleave
-    *lines*, never bytes within a line, and a crashed writer never leaves
-    a torn record.
+    *lines*, never bytes within a line.  A short write raises
+    :class:`OSError`.
 
     Examples
     --------
@@ -193,7 +206,7 @@ class EventLog:
                 self.records.append(record)
             if self.path is not None:
                 line = json.dumps(record, sort_keys=True, default=_jsonable) + "\n"
-                os.write(self._descriptor(), line.encode())
+                append_line(self._descriptor(), line.encode(), self.path)
             return record
 
     def close(self) -> None:
@@ -347,15 +360,48 @@ def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
         configure(previous)
 
 
+class TraceError(ValueError):
+    """The event stream is unreadable: corrupt record or unknown schema."""
+
+
+def _parse_stream(text: str) -> tuple[list[dict[str, Any]], bool]:
+    """Parse JSONL text into records, tolerating one truncated final line."""
+    lines = text.splitlines()
+    last_content = -1
+    for index, line in enumerate(lines):
+        if line.strip():
+            last_content = index
+    records: list[dict[str, Any]] = []
+    truncated = False
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if index == last_content:
+                truncated = True
+                break
+            raise TraceError(
+                f"corrupt event record on line {index + 1}: {exc.msg}"
+            ) from exc
+        if not isinstance(record, dict):
+            raise TraceError(
+                f"event record on line {index + 1} is not a JSON object"
+            )
+        records.append(record)
+    return records, truncated
+
+
 def read_events(path: str | os.PathLike) -> list[dict[str, Any]]:
-    """Parse a JSONL event file back into record dicts."""
-    out: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    """Parse a JSONL event file back into record dicts.
+
+    A torn final line (a writer killed mid-append) is dropped; a corrupt
+    interior record raises :class:`TraceError`.
+    """
+    records, _ = _parse_stream(Path(path).read_text(encoding="utf-8"))
+    return records
 
 
 def strip_volatile(record: Mapping[str, Any]) -> dict[str, Any]:

@@ -38,6 +38,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.obs.events import append_line
 from repro.utils.tables import Table
 
 __all__ = [
@@ -363,7 +364,7 @@ class RunRegistry:
         )
         try:
             for line in lines:
-                os.write(fd, line.encode())
+                append_line(fd, line.encode(), self.index_path)
         finally:
             os.close(fd)
 

@@ -35,13 +35,12 @@ a hard :class:`TraceError`, never a silent skip.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.events import SCHEMA_VERSION
+from repro.obs.events import SCHEMA_VERSION, TraceError, _parse_stream
 from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME, STAT_KIND
 from repro.utils.tables import Table
 
@@ -76,10 +75,6 @@ STRAGGLER_FACTOR = 2.0
 
 #: The "end of program" window: the last quarter of a cluster run.
 TAIL_WINDOW_FRACTION = 0.25
-
-
-class TraceError(ValueError):
-    """The event stream is unreadable: corrupt record or unknown schema."""
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -327,36 +322,6 @@ class ResourceUsage:
 
 # ---------------------------------------------------------------------------
 # Loading and validation
-
-
-def _parse_stream(text: str) -> tuple[list[dict[str, Any]], bool]:
-    """Parse JSONL text into records, tolerating one truncated final line."""
-    lines = text.splitlines()
-    last_content = -1
-    for index, line in enumerate(lines):
-        if line.strip():
-            last_content = index
-    records: list[dict[str, Any]] = []
-    truncated = False
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if index == last_content:
-                truncated = True
-                break
-            raise TraceError(
-                f"corrupt event record on line {index + 1}: {exc.msg}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise TraceError(
-                f"event record on line {index + 1} is not a JSON object"
-            )
-        records.append(record)
-    return records, truncated
 
 
 def _validate(records: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:

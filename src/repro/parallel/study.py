@@ -19,14 +19,13 @@ three common members: ``records`` (one :class:`StudyRecord` per evaluated
 cell), ``summary()`` (a flat dict of headline numbers), and
 ``to_table()`` (a rendered text table — returned, never printed).
 
-Old positional call forms keep working through thin shims that emit a
-:class:`DeprecationWarning` via :func:`warn_deprecated_form` and return
-the historical result type bit-for-bit.
+The config form is the only call form.  ``kfold_evaluate`` and
+``random_search`` take no ``cache``: their cells are either uncacheable
+(closures over hyper-parameters) or cheaper than a cache round trip.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from repro.parallel.cache import ResultCache
@@ -34,43 +33,24 @@ from repro.parallel.sweep import SweepRecord as StudyRecord
 from repro.utils.tables import Table
 
 __all__ = [
-    "DEFAULT_CACHE",
     "StudyRecord",
     "StudyResult",
     "resolve_cache",
-    "warn_deprecated_form",
 ]
-
-#: Sentinel default for the unified ``cache`` keyword.  It lets one merged
-#: signature serve both call forms: the unified path reads it as ``True``
-#: while legacy shims read it as "no cache", preserving old behaviour.
-DEFAULT_CACHE: Any = object()
 
 
 def resolve_cache(cache: bool | ResultCache | None) -> ResultCache | None:
     """Normalize the unified ``cache`` argument.
 
-    ``True`` (or the unspecified :data:`DEFAULT_CACHE`) builds the default
-    environment-rooted cache (honouring ``REPRO_CACHE_DIR`` /
-    ``REPRO_CACHE_DISABLE``); ``False``/``None`` disable caching; a
-    :class:`ResultCache` instance is used as-is.
+    ``True`` builds the default environment-rooted cache (honouring
+    ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_DISABLE``); ``False``/``None``
+    disable caching; a :class:`ResultCache` instance is used as-is.
     """
-    if cache is True or cache is DEFAULT_CACHE:
+    if cache is True:
         return ResultCache()
     if cache is False or cache is None:
         return None
     return cache
-
-
-def warn_deprecated_form(entry_point: str, hint: str) -> None:
-    """Emit the one-liner deprecation for a legacy study call form."""
-    warnings.warn(
-        f"the positional {entry_point}(...) form is deprecated; "
-        f"call {entry_point}({hint}, seeds=..., workers=..., cache=...) "
-        "with a config object instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class StudyResult:

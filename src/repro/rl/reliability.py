@@ -16,15 +16,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.parallel.runner import pmap
-from repro.parallel.study import (
-    DEFAULT_CACHE,
-    StudyRecord,
-    StudyResult,
-    resolve_cache,
-    warn_deprecated_form,
-)
+from repro.parallel.cache import ResultCache
+from repro.parallel.study import StudyRecord, StudyResult, resolve_cache
 from repro.rl.agents import DQNConfig, train_agent
-from repro.utils.rng import spawn_children
 from repro.utils.tables import Table
 
 __all__ = [
@@ -153,70 +147,14 @@ class ReliabilityResult(StudyResult):
         return table.render()
 
 
-def _run_grid(
-    cfg: ReliabilityStudyConfig,
-    trial_seeds: list[int],
-    workers: int | None,
-    cache,
-) -> ReliabilityResult:
-    """Train every (env, family, seed) cell and assemble the result."""
-    n_seeds = len(trial_seeds)
-    grid = [(env, family) for env in cfg.env_names for family in cfg.families]
-    configs = [
-        {
-            "env": env_name,
-            "family": family,
-            "config": cfg.dqn,
-            "size": cfg.size,
-            "width": cfg.width,
-            "eval_episodes": cfg.eval_episodes,
-        }
-        for env_name, family in grid
-        for _ in trial_seeds
-    ]
-    finals = pmap(
-        _train_cell,
-        configs,
-        trial_seeds * len(grid),
-        workers=workers,
-        cache=cache,
-    )
-    reports: list[ReliabilityReport] = []
-    for cell_index, (env_name, family) in enumerate(grid):
-        returns = finals[cell_index * n_seeds : (cell_index + 1) * n_seeds]
-        reports.append(
-            ReliabilityReport(
-                env=env_name,
-                family=family,
-                per_seed_returns=tuple(returns),
-                threshold=cfg.threshold,
-            )
-        )
-    records = tuple(
-        StudyRecord(config=config, seed=seed, value=value)
-        for config, seed, value in zip(configs, trial_seeds * len(grid), finals)
-    )
-    return ReliabilityResult(reports=tuple(reports), trial_records=records)
-
-
 def reliability_study(
-    study: ReliabilityStudyConfig | Sequence[str],
-    families: Sequence[str] | None = None,
+    config: ReliabilityStudyConfig,
     *,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
     workers: int | None = None,
-    cache: Any = DEFAULT_CACHE,
-    n_seeds: int = 3,
-    threshold: float = 0.0,
-    config: DQNConfig | None = None,
-    size: int = 6,
-    width: int = 12,
-    eval_episodes: int = 20,
-    base_seed: int = 0,
-) -> ReliabilityResult | list[ReliabilityReport]:
-    """Train every (env, family, seed) cell and summarize reliability.
-
-    Unified form (the Study API)::
+    cache: bool | ResultCache | None = True,
+) -> ReliabilityResult:
+    """Train every (env, family, seed) cell and summarize reliability::
 
         reliability_study(
             ReliabilityStudyConfig(env_names=["catch"], families=["cnn"]),
@@ -230,37 +168,44 @@ def reliability_study(
     :class:`ReliabilityResult` whose ``reports`` hold one
     :class:`ReliabilityReport` per (env, family) pair in input order —
     the table of experiment E8.
-
-    The legacy form ``reliability_study(env_names, families, n_seeds=..,
-    base_seed=..)`` is deprecated; it spawns the same seeds from
-    ``base_seed`` it always did and still returns the plain report list.
     """
-    if isinstance(study, ReliabilityStudyConfig):
-        if families is not None or config is not None:
-            raise TypeError(
-                "the unified form takes only (config, *, seeds, workers, cache)"
-            )
-        if seeds is None or len(list(seeds)) == 0:
-            raise ValueError("the unified form requires a non-empty seeds sequence")
-        return _run_grid(
-            study, [int(s) for s in seeds], workers, resolve_cache(cache)
-        )
-
-    warn_deprecated_form("reliability_study", "ReliabilityStudyConfig(...)")
-    if families is None:
-        raise TypeError("legacy reliability_study(env_names, families) needs families")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    cfg = ReliabilityStudyConfig(
-        env_names=tuple(study),
-        families=tuple(families),
-        threshold=threshold,
-        dqn=config,
-        size=size,
-        width=width,
-        eval_episodes=eval_episodes,
+    trial_seeds = [int(s) for s in seeds]
+    if not trial_seeds:
+        raise ValueError("reliability_study requires a non-empty seeds sequence")
+    n_seeds = len(trial_seeds)
+    grid = [(env, family) for env in config.env_names for family in config.families]
+    configs = [
+        {
+            "env": env_name,
+            "family": family,
+            "config": config.dqn,
+            "size": config.size,
+            "width": config.width,
+            "eval_episodes": config.eval_episodes,
+        }
+        for env_name, family in grid
+        for _ in trial_seeds
+    ]
+    finals = pmap(
+        _train_cell,
+        configs,
+        trial_seeds * len(grid),
+        workers=workers,
+        cache=resolve_cache(cache),
     )
-    trial_seeds = spawn_children(base_seed, n_seeds)
-    legacy_cache = None if cache is DEFAULT_CACHE else resolve_cache(cache)
-    result = _run_grid(cfg, trial_seeds, workers, legacy_cache)
-    return list(result.reports)
+    reports: list[ReliabilityReport] = []
+    for cell_index, (env_name, family) in enumerate(grid):
+        returns = finals[cell_index * n_seeds : (cell_index + 1) * n_seeds]
+        reports.append(
+            ReliabilityReport(
+                env=env_name,
+                family=family,
+                per_seed_returns=tuple(returns),
+                threshold=config.threshold,
+            )
+        )
+    records = tuple(
+        StudyRecord(config=cell, seed=seed, value=value)
+        for cell, seed, value in zip(configs, trial_seeds * len(grid), finals)
+    )
+    return ReliabilityResult(reports=tuple(reports), trial_records=records)

@@ -3,10 +3,7 @@
 ``dimension_sweep`` follows the unified Study API
 (:mod:`repro.parallel.study`): pass a :class:`DimensionSweepConfig` plus
 ``seeds=...`` and get a :class:`DimensionSweepResult` carrying per-cell
-``records``, a ``summary()`` dict, and a ``to_table()`` rendering.  The
-historical positional form (``dimension_sweep([10, 50], eps=..,
-n_trials=.., seed=..)``) still works through a deprecation shim and
-reproduces its original seed derivation bit-for-bit.
+``records``, a ``summary()`` dict, and a ``to_table()`` rendering.
 """
 
 from __future__ import annotations
@@ -19,13 +16,7 @@ import numpy as np
 
 from repro.parallel.cache import ResultCache, code_salt
 from repro.parallel.runner import pmap
-from repro.parallel.study import (
-    DEFAULT_CACHE,
-    StudyRecord,
-    StudyResult,
-    resolve_cache,
-    warn_deprecated_form,
-)
+from repro.parallel.study import StudyRecord, StudyResult, resolve_cache
 from repro.provenance.manifest import stable_hash
 from repro.robuststats.contamination import ContaminationModel, contaminated_gaussian
 from repro.robuststats.estimators import (
@@ -33,7 +24,6 @@ from repro.robuststats.estimators import (
     filter_mean,
     sample_mean,
 )
-from repro.utils.rng import as_generator
 from repro.utils.tables import Table
 
 __all__ = [
@@ -181,63 +171,16 @@ def _sweep_cell(
     return out
 
 
-def _execute(
-    cfg: DimensionSweepConfig,
-    configs: list[dict],
-    trial_seeds: list[int],
-    n_trials: int,
-    workers: int | None,
-    cache: ResultCache | None,
-) -> DimensionSweepResult:
-    """Run the prepared (config, seed) cells and assemble the result."""
-    ests = cfg.resolved_estimators()
-    # The estimator table is partial-bound rather than part of the config,
-    # so its identity must reach the cache key through the salt.
-    est_names = {
-        name: getattr(getattr(e, "func", e), "__qualname__", repr(e))
-        for name, e in ests.items()
-    }
-    salt = stable_hash({"code": code_salt(_sweep_cell), "estimators": est_names})
-    cells = pmap(
-        partial(_sweep_cell, ests),
-        configs,
-        trial_seeds,
-        workers=workers,
-        cache=cache,
-        salt=salt,
-    )
-    errors = {name: np.empty((len(cfg.dims), n_trials)) for name in ests}
-    errors["oracle"] = np.empty((len(cfg.dims), n_trials))
-    for index, cell in enumerate(cells):
-        i, t = divmod(index, n_trials)
-        for name, value in cell.items():
-            errors[name][i, t] = value
-    records = tuple(
-        StudyRecord(config=config, seed=seed, value=cell)
-        for config, seed, cell in zip(configs, trial_seeds, cells)
-    )
-    return DimensionSweepResult(
-        dims=cfg.dims, eps=cfg.eps, errors=errors, trial_records=records
-    )
-
-
 def dimension_sweep(
-    config: DimensionSweepConfig | Sequence[int],
+    config: DimensionSweepConfig,
     *,
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
     workers: int | None = None,
-    cache: Any = DEFAULT_CACHE,
-    eps: float = 0.1,
-    samples_per_dim: int = 10,
-    min_samples: int = 200,
-    n_trials: int = 3,
-    adversary: str = "shifted_cluster",
-    estimators: dict[str, Estimator] | None = None,
-    seed: int | np.random.Generator | None = 0,
+    cache: bool | ResultCache | None = True,
 ) -> DimensionSweepResult:
     """Sweep the dimension at fixed contamination and record L2 errors.
 
-    Unified form (the Study API)::
+    ::
 
         dimension_sweep(DimensionSweepConfig(dims=[10, 50]),
                         seeds=spawn_children(0, 5), workers=4)
@@ -254,58 +197,51 @@ def dimension_sweep(
     environment-rooted :class:`repro.parallel.ResultCache` so repeated
     sweeps re-execute nothing.  Unpicklable custom estimators
     transparently fall back to the in-process serial path.
-
-    The legacy positional form ``dimension_sweep(dims, eps=.., n_trials=..,
-    seed=..)`` is deprecated but keeps its original per-(dimension, trial)
-    seed derivation and (cache-off) defaults exactly.
     """
-    if isinstance(config, DimensionSweepConfig):
-        if seeds is None or len(list(seeds)) == 0:
-            raise ValueError("the unified form requires a non-empty seeds sequence")
-        trial_seeds = [int(s) for s in seeds]
-        n = len(trial_seeds)
-        configs = [
-            {
-                "dim": d,
-                "n": config.sample_size(d),
-                "eps": config.eps,
-                "adversary": config.adversary,
-            }
-            for d in config.dims
-            for _ in range(n)
-        ]
-        return _execute(
-            config,
-            configs,
-            trial_seeds * len(config.dims),
-            n,
-            workers,
-            resolve_cache(cache),
-        )
-
-    # Legacy form: dims list first, trial seeds drawn from the study RNG in
-    # (dimension, trial) order — the exact derivation of the original API.
-    warn_deprecated_form("dimension_sweep", "DimensionSweepConfig(dims=[...])")
-    cfg = DimensionSweepConfig(
-        dims=tuple(config),
-        eps=eps,
-        samples_per_dim=samples_per_dim,
-        min_samples=min_samples,
-        adversary=adversary,
-        estimators=estimators,
+    trial_seeds = [int(s) for s in seeds]
+    if not trial_seeds:
+        raise ValueError("dimension_sweep requires a non-empty seeds sequence")
+    n_trials = len(trial_seeds)
+    configs = [
+        {
+            "dim": d,
+            "n": config.sample_size(d),
+            "eps": config.eps,
+            "adversary": config.adversary,
+        }
+        for d in config.dims
+        for _ in range(n_trials)
+    ]
+    cell_seeds = trial_seeds * len(config.dims)
+    ests = config.resolved_estimators()
+    # The estimator table is partial-bound rather than part of the config,
+    # so its identity must reach the cache key through the salt.
+    est_names = {
+        name: getattr(getattr(e, "func", e), "__qualname__", repr(e))
+        for name, e in ests.items()
+    }
+    salt = stable_hash({"code": code_salt(_sweep_cell), "estimators": est_names})
+    cells = pmap(
+        partial(_sweep_cell, ests),
+        configs,
+        cell_seeds,
+        workers=workers,
+        cache=resolve_cache(cache),
+        salt=salt,
     )
-    rng = as_generator(seed)
-    configs = []
-    trial_seeds = []
-    for d in cfg.dims:
-        n_samples = cfg.sample_size(d)
-        for _ in range(n_trials):
-            configs.append(
-                {"dim": d, "n": n_samples, "eps": cfg.eps, "adversary": cfg.adversary}
-            )
-            trial_seeds.append(int(rng.integers(0, 2**63 - 1)))
-    legacy_cache = None if cache is DEFAULT_CACHE else resolve_cache(cache)
-    return _execute(cfg, configs, trial_seeds, n_trials, workers, legacy_cache)
+    errors = {name: np.empty((len(config.dims), n_trials)) for name in ests}
+    errors["oracle"] = np.empty((len(config.dims), n_trials))
+    for index, cell in enumerate(cells):
+        i, t = divmod(index, n_trials)
+        for name, value in cell.items():
+            errors[name][i, t] = value
+    records = tuple(
+        StudyRecord(config=cfg, seed=seed, value=cell)
+        for cfg, seed, cell in zip(configs, cell_seeds, cells)
+    )
+    return DimensionSweepResult(
+        dims=config.dims, eps=config.eps, errors=errors, trial_records=records
+    )
 
 
 def eps_cell(eps: float, seed: int, dim: int = 200, n: int = 2000):

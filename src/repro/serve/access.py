@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.obs.events import append_line
 from repro.obs.trace import ACCESS_LOG_NAME
 
 __all__ = ["ACCESS_LOG_NAME", "DEFAULT_MAX_BYTES", "AccessLog"]
@@ -103,7 +104,7 @@ class AccessLog:
                 and self._size + len(data) > self.max_bytes
             ):
                 self._rotate_locked()
-            os.write(self._fd, data)
+            append_line(self._fd, data, self.path)
             self._size += len(data)
         return record
 

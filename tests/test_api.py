@@ -17,6 +17,7 @@ from repro.api import (
     UnknownRunError,
     canonical_results,
     canonical_results_bytes,
+    execute_request,
 )
 from repro.exp import registry
 from repro.exp.registry import Experiment
@@ -188,11 +189,9 @@ class TestCatalogFacade:
                     "smoke_overrides", "volatile_values"} <= set(d)
 
     def test_execute_matches_the_legacy_runner(self, fake, tmp_path):
-        from repro.exp.runner import run_experiments
-
         request = RunRequest(ids=("ZZAPI",), cache=False)
         via_api = Catalog().execute(request)
-        via_runner = run_experiments(["ZZAPI"], cache=False)
+        via_runner = execute_request(request)
         assert (canonical_results_bytes(via_api.as_dict())
                 == canonical_results_bytes(via_runner.as_dict()))
 

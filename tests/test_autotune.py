@@ -10,6 +10,7 @@ from repro.autotune import (
     GeneticTuner,
     MLIR_LIKE,
     Parallelize,
+    RandomSearchConfig,
     Schedule,
     TVM_LIKE,
     Tile,
@@ -191,7 +192,9 @@ class TestSearch:
     def test_genetic_beats_random_at_equal_budget(self, cm):
         k = matmul_kernel(1024, 1024, 1024)
         ga = GeneticTuner(cm, TVM_LIKE, population=16, generations=9, seed=2).tune(k)
-        rs = random_search(k, cm, TVM_LIKE, n_trials=160, seed=2)
+        rs = random_search(
+            RandomSearchConfig(k, cm, TVM_LIKE, n_trials=160), seeds=[2]
+        ).per_seed[0]
         assert ga.best_estimate.total_s <= rs.best_estimate.total_s * 1.10
 
     def test_best_schedule_is_valid(self, cm):

@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
-    SchedulerPolicy,
     default_reu_projects,
     generate_workload,
     naive_deadline_submission,
@@ -93,25 +92,12 @@ def test_golden_schedules_bit_identical(plan, n_gpus):
     jobs = generate_workload(
         projects, submit_times=plans[plan], seed=WORKLOAD_SEED
     )
-    for policy in SchedulerPolicy:
+    for policy in ("fifo", "backfill", "edf", "fairshare"):
         sim = ClusterSimulator(n_gpus, policy=policy)
         got = _fingerprint(sim.run(jobs))
-        assert got == GOLDEN[(plan, policy.value, n_gpus)], (
-            f"{plan}/{policy.value}/{n_gpus} schedule changed"
+        assert got == GOLDEN[(plan, policy, n_gpus)], (
+            f"{plan}/{policy}/{n_gpus} schedule changed"
         )
-
-
-def test_golden_registry_names_match_enum_members():
-    """'backfill' the string and SchedulerPolicy.BACKFILL the enum are the
-    same policy object family — identical schedules, not merely similar."""
-    projects, plans = _plans()
-    jobs = generate_workload(
-        projects, submit_times=plans["naive"], seed=WORKLOAD_SEED
-    )
-    for policy in SchedulerPolicy:
-        by_enum = ClusterSimulator(3, policy=policy).run(jobs)
-        by_name = ClusterSimulator(3, policy=policy.value).run(jobs)
-        assert _fingerprint(by_enum) == _fingerprint(by_name)
 
 
 def test_golden_easy_alias_matches_backfill():

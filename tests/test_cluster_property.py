@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cluster import ClusterSimulator, Job, SchedulerPolicy
+from repro.cluster import ClusterSimulator, Job
 from repro.cluster.jobs import JobState
 from repro.cluster.resources import GPUPool
 
@@ -54,13 +54,13 @@ mem_job_tuples = st.lists(
     max_size=10,
 )
 
-# Legacy enum members and registry names side by side: the invariants are
-# policy-blind, so every family member rides the same sweep.
+# The invariants are policy-blind, so every family member rides the same
+# sweep.
 POLICIES = [
-    SchedulerPolicy.FIFO,
-    SchedulerPolicy.BACKFILL,
-    SchedulerPolicy.EDF,
-    SchedulerPolicy.FAIRSHARE,
+    "fifo",
+    "backfill",
+    "edf",
+    "fairshare",
     "conservative",
     "conservative-edf",
     "hybrid-1",
@@ -70,7 +70,7 @@ POLICIES = [
 
 # Reservation-holding policies whose order key is FIFO: promises must
 # never move later, hence zero job_preempt events.
-FIFO_ORDERED_BACKFILLERS = [SchedulerPolicy.BACKFILL, "conservative",
+FIFO_ORDERED_BACKFILLERS = ["backfill", "conservative",
                             "hybrid-1", "hybrid-3"]
 
 

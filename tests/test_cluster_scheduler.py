@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterSimulator,
     Job,
-    SchedulerPolicy,
     evaluate_schedule,
     generate_workload,
     naive_deadline_submission,
@@ -38,7 +37,7 @@ class TestFIFO:
     def test_fifo_head_blocks_queue(self):
         # Head job needs 2 GPUs (unavailable); a 1-GPU job behind it must
         # wait under FIFO even though it would fit.
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.FIFO)
+        sim = ClusterSimulator(2, policy="fifo")
         recs = sim.run(
             [J(0, 1, 10.0, 0.0), J(1, 2, 5.0, 1.0), J(2, 1, 1.0, 2.0)]
         )
@@ -69,7 +68,7 @@ class TestBackfill:
     def test_small_job_backfills_into_gap(self):
         # Head (job 1) needs the full pool and must wait for job 0; job 2 is
         # short enough to finish before job 0 frees the pool.
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(2, policy="backfill")
         recs = sim.run(
             [J(0, 1, 10.0, 0.0), J(1, 2, 5.0, 1.0), J(2, 1, 2.0, 2.0)]
         )
@@ -77,8 +76,8 @@ class TestBackfill:
         assert recs[1].start_time == 10.0  # head start unharmed
 
     def test_backfill_never_delays_head(self):
-        sim_fifo = ClusterSimulator(2, policy=SchedulerPolicy.FIFO)
-        sim_bf = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL)
+        sim_fifo = ClusterSimulator(2, policy="fifo")
+        sim_bf = ClusterSimulator(2, policy="backfill")
         jobs = [
             J(0, 1, 10.0, 0.0),
             J(1, 2, 5.0, 1.0),
@@ -94,7 +93,7 @@ class TestBackfill:
         ]
         m_fifo = evaluate_schedule(ClusterSimulator(4).run(list(jobs)))
         m_bf = evaluate_schedule(
-            ClusterSimulator(4, policy=SchedulerPolicy.BACKFILL).run(list(jobs))
+            ClusterSimulator(4, policy="backfill").run(list(jobs))
         )
         assert m_bf.mean_wait < m_fifo.mean_wait
 
@@ -115,7 +114,7 @@ class TestBackfill:
         jobs = [
             Job(i, "p", g, d, s, 1e9) for i, (g, d, s) in enumerate(raw)
         ]
-        sim = ClusterSimulator(4, policy=SchedulerPolicy.BACKFILL)
+        sim = ClusterSimulator(4, policy="backfill")
         recs = sim.run(jobs)  # GPUPool raises internally on over-allocation
         assert all(r.state is JobState.COMPLETED for r in recs)
         # No job starts before submission.
@@ -181,10 +180,10 @@ class TestContentionFinding:
             projects, submit_times=staged_batch_submission(projects), seed=42
         )
         m_naive = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(naive)
+            ClusterSimulator(6, policy="backfill").run(naive)
         )
         m_staged = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(staged)
+            ClusterSimulator(6, policy="backfill").run(staged)
         )
         assert m_naive.missed_deadlines > 0
         assert m_staged.missed_deadlines == 0
@@ -208,7 +207,7 @@ class TestContentionFinding:
 
 class TestEDF:
     def test_earliest_deadline_runs_first(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.EDF)
+        sim = ClusterSimulator(1, policy="edf")
         jobs = [
             Job(0, "late", 1, 5.0, 0.0, deadline=100.0),
             Job(1, "urgent", 1, 5.0, 0.1, deadline=10.0),
@@ -226,15 +225,15 @@ class TestEDF:
             for i in range(1, 6)
         ]
         fifo = evaluate_schedule(
-            ClusterSimulator(2, policy=SchedulerPolicy.FIFO).run(list(jobs))
+            ClusterSimulator(2, policy="fifo").run(list(jobs))
         )
         edf = evaluate_schedule(
-            ClusterSimulator(2, policy=SchedulerPolicy.EDF).run(list(jobs))
+            ClusterSimulator(2, policy="edf").run(list(jobs))
         )
         assert edf.total_lateness <= fifo.total_lateness
 
     def test_stable_among_equal_deadlines(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.EDF)
+        sim = ClusterSimulator(1, policy="edf")
         jobs = [
             Job(0, "a", 1, 1.0, 0.0, deadline=10.0),
             Job(1, "b", 1, 1.0, 0.1, deadline=10.0),
@@ -250,14 +249,14 @@ class TestEDF:
         times = naive_deadline_submission(projects, seed=1)
         jobs = generate_workload(projects, submit_times=times, seed=42)
         m = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.EDF).run(jobs)
+            ClusterSimulator(6, policy="edf").run(jobs)
         )
         assert m.missed_deadlines > 0
 
 
 class TestFairShare:
     def test_light_user_cuts_ahead_of_heavy_backlog(self):
-        sim = ClusterSimulator(1, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(1, policy="fairshare")
         jobs = (
             [Job(0, "heavy", 1, 10.0, 0.0, 1e9)]
             + [Job(i, "heavy", 1, 10.0, 0.1, 1e9) for i in (1, 2)]
@@ -269,7 +268,7 @@ class TestFairShare:
         assert recs[3].start_time < recs[1].start_time or recs[3].start_time < recs[2].start_time
 
     def test_usage_accounting(self):
-        sim = ClusterSimulator(2, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(2, policy="fairshare")
         sim.run([Job(0, "a", 2, 3.0, 0.0, 1e9), Job(1, "b", 1, 2.0, 0.0, 1e9)])
         usage = sim.project_usage()
         assert usage["a"] == pytest.approx(6.0)
@@ -293,12 +292,12 @@ class TestFairShare:
             smalls = [v for k, v in waits.items() if k.startswith("small")]
             return max(smalls)
 
-        assert max_wait_by_project(SchedulerPolicy.FAIRSHARE) < max_wait_by_project(
-            SchedulerPolicy.FIFO
+        assert max_wait_by_project("fairshare") < max_wait_by_project(
+            "fifo"
         )
 
     def test_all_jobs_still_complete(self):
-        sim = ClusterSimulator(3, policy=SchedulerPolicy.FAIRSHARE)
+        sim = ClusterSimulator(3, policy="fairshare")
         recs = sim.run([Job(i, f"p{i % 3}", 1 + i % 2, 2.0, float(i), 1e9) for i in range(12)])
         assert all(r.state is JobState.COMPLETED for r in recs)
 
@@ -326,10 +325,10 @@ class TestTraceFormat:
         jobs = generate_workload(seed=3)
         replayed = loads_trace(dumps_trace(jobs))
         a = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(list(jobs))
+            ClusterSimulator(6, policy="backfill").run(list(jobs))
         )
         b = evaluate_schedule(
-            ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL).run(replayed)
+            ClusterSimulator(6, policy="backfill").run(replayed)
         )
         assert a.mean_wait == b.mean_wait
         assert a.makespan == b.makespan
@@ -377,14 +376,6 @@ class TestTraceFormat:
 
 
 class TestPolicyRegistry:
-    def test_enum_and_name_resolve_to_same_schedule(self):
-        jobs = [J(0, 2, 10.0, 0.0), J(1, 1, 5.0, 0.0), J(2, 1, 5.0, 0.0)]
-        by_enum = ClusterSimulator(2, policy=SchedulerPolicy.BACKFILL).run(jobs)
-        by_name = ClusterSimulator(2, policy="backfill").run(jobs)
-        assert [(r.start_time, r.end_time) for r in by_enum] == [
-            (r.start_time, r.end_time) for r in by_name
-        ]
-
     def test_policy_instances_are_accepted(self):
         from repro.cluster.scheduling import HybridBackfill
 

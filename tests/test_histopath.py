@@ -7,6 +7,7 @@ from repro.histopath import (
     augment_dataset,
     build_model,
     count_mae,
+    KFoldConfig,
     dice_score,
     kfold_evaluate,
     make_patches,
@@ -181,17 +182,24 @@ class TestAugmentation:
 class TestCrossValidation:
     def test_kfold_runs(self, patches):
         score = kfold_evaluate(
-            patches,
-            lambda train, fold: train_model(train, mode="multitask", epochs=6, seed=fold),
-            n_folds=3,
-            seed=0,
-        )
+            KFoldConfig(
+                patches,
+                lambda train, fold: train_model(
+                    train, mode="multitask", epochs=6, seed=fold
+                ),
+                n_folds=3,
+            ),
+            seeds=[0],
+        ).scores[0]
         assert len(score.dice) == 3
         assert score.mean_dice > 0.5
 
     def test_kfold_rejects_too_many_folds(self, patches):
         with pytest.raises(ValueError):
-            kfold_evaluate(patches.subset(np.arange(2)), lambda t, f: None, n_folds=5)
+            kfold_evaluate(
+                KFoldConfig(patches.subset(np.arange(2)), lambda t, f: None, n_folds=5),
+                seeds=[0],
+            )
 
 
 class TestPostprocessing:

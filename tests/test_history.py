@@ -314,3 +314,12 @@ def test_flakiness_skips_declared_volatile_values(tmp_path):
         RunRecord.from_dir(tmp_path / "run-b"),
     ])
     assert report.passed
+
+
+def test_registry_short_write_raises_naming_the_path(tmp_path, monkeypatch):
+    make_run(tmp_path, "run-1")
+    registry = RunRegistry(tmp_path)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    with pytest.raises(OSError, match="runs_index.jsonl"):
+        registry.register(tmp_path / "run-1")

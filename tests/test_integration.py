@@ -10,7 +10,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
-    SchedulerPolicy,
     evaluate_schedule,
     generate_workload,
     naive_deadline_submission,
@@ -43,7 +42,7 @@ class TestSeasonToCluster:
             ("staged", staged_batch_submission(projects)),
         ):
             jobs = generate_workload(projects, submit_times=times, seed=11)
-            sim = ClusterSimulator(6, policy=SchedulerPolicy.BACKFILL)
+            sim = ClusterSimulator(6, policy="backfill")
             results[label] = evaluate_schedule(sim.run(jobs))
         assert results["staged"].total_lateness < results["naive"].total_lateness
         # Staging pays bounded makespan: within 10% of naive.
@@ -56,7 +55,7 @@ class TestSeasonToCluster:
         late = {}
         for n_gpus in (6, 24):
             jobs = generate_workload(projects, submit_times=times, seed=11)
-            sim = ClusterSimulator(n_gpus, policy=SchedulerPolicy.BACKFILL)
+            sim = ClusterSimulator(n_gpus, policy="backfill")
             late[n_gpus] = evaluate_schedule(sim.run(jobs)).missed_deadlines
         assert late[24] < late[6]
 

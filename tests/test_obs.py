@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -49,6 +50,31 @@ class TestEventLog:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5
         assert all(json.loads(line)["kind"] == "tick" for line in lines)
+
+    def test_short_write_raises_naming_the_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        log = obs.EventLog(path)
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        with pytest.raises(OSError, match="events.jsonl"):
+            log.emit("torn")
+        log.close()
+
+    def test_read_events_drops_a_torn_final_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        log = obs.EventLog(path)
+        log.emit("alpha")
+        log.emit("beta")
+        log.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "gam')
+        assert [r["kind"] for r in obs.read_events(path)] == ["alpha", "beta"]
+
+    def test_read_events_rejects_interior_corruption(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "alpha"}\nnot json\n{"kind": "beta"}\n')
+        with pytest.raises(obs.TraceError, match="line 2"):
+            obs.read_events(path)
 
     def test_strip_volatile_keeps_deterministic_half(self):
         log = obs.EventLog()

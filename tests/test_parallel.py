@@ -263,28 +263,38 @@ class TestStudyDeterminism:
     """The ISSUE's headline contract: worker count never changes science."""
 
     def test_robuststats_sweep_identical_across_workers(self):
-        from repro.robuststats import dimension_sweep
+        from repro.robuststats import DimensionSweepConfig, dimension_sweep
 
-        serial = dimension_sweep([5, 10], n_trials=2, min_samples=40, seed=0, workers=1)
-        parallel = dimension_sweep([5, 10], n_trials=2, min_samples=40, seed=0, workers=4)
+        cfg = DimensionSweepConfig(dims=(5, 10), min_samples=40)
+        seeds = spawn_children(0, 2)
+        serial = dimension_sweep(cfg, seeds=seeds, workers=1, cache=False)
+        parallel = dimension_sweep(cfg, seeds=seeds, workers=4, cache=False)
         assert serial.errors.keys() == parallel.errors.keys()
         for name in serial.errors:
             np.testing.assert_array_equal(serial.errors[name], parallel.errors[name])
 
     def test_robuststats_cached_rerun_identical_with_zero_executions(self, tmp_path):
-        from repro.robuststats import dimension_sweep
+        from repro.robuststats import DimensionSweepConfig, dimension_sweep
 
         cache = ResultCache(tmp_path)
-        cold = dimension_sweep([5, 10], n_trials=2, min_samples=40, seed=0, cache=cache)
+        cfg = DimensionSweepConfig(dims=(5, 10), min_samples=40)
+        seeds = spawn_children(0, 2)
+        cold = dimension_sweep(cfg, seeds=seeds, cache=cache)
         executed = cache.stats().misses
-        warm = dimension_sweep([5, 10], n_trials=2, min_samples=40, seed=0, cache=cache)
+        warm = dimension_sweep(cfg, seeds=seeds, cache=cache)
         assert cache.stats().misses == executed  # zero new executions
         assert cache.stats().hits == executed
         for name in cold.errors:
             np.testing.assert_array_equal(cold.errors[name], warm.errors[name])
 
     def test_autotuner_identical_across_workers(self):
-        from repro.autotune import CostModel, GeneticTuner, TVM_LIKE, random_search
+        from repro.autotune import (
+            CostModel,
+            GeneticTuner,
+            RandomSearchConfig,
+            TVM_LIKE,
+            random_search,
+        )
         from repro.autotune.kernels import matmul_kernel
         from repro.perf.roofline import A100_LIKE
 
@@ -295,19 +305,21 @@ class TestStudyDeterminism:
             cm, TVM_LIKE, population=8, generations=2, seed=4, workers=4
         ).tune(kernel)
         assert serial == parallel
-        rs_serial = random_search(kernel, cm, TVM_LIKE, n_trials=24, seed=4)
-        rs_parallel = random_search(kernel, cm, TVM_LIKE, n_trials=24, seed=4, workers=4)
+        rs_cfg = RandomSearchConfig(kernel, cm, TVM_LIKE, n_trials=24)
+        rs_serial = random_search(rs_cfg, seeds=[4]).per_seed[0]
+        rs_parallel = random_search(rs_cfg, seeds=[4], workers=4).per_seed[0]
         assert rs_serial == rs_parallel
 
     def test_kfold_identical_across_workers(self):
         from repro.histopath import make_patches, train_model
-        from repro.histopath.crossval import kfold_evaluate
+        from repro.histopath.crossval import KFoldConfig, kfold_evaluate
 
         dataset = make_patches(n=12, seed=0)
 
         def train(subset, fold):
             return train_model(subset, mode="multitask", epochs=2, seed=fold)
 
-        serial = kfold_evaluate(dataset, train, n_folds=2, seed=0, workers=1)
-        parallel = kfold_evaluate(dataset, train, n_folds=2, seed=0, workers=4)
+        cfg = KFoldConfig(dataset, train, n_folds=2)
+        serial = kfold_evaluate(cfg, seeds=[0], workers=1).scores[0]
+        parallel = kfold_evaluate(cfg, seeds=[0], workers=4).scores[0]
         assert serial == parallel

@@ -201,10 +201,12 @@ class TestTraceAttribution:
         assert "worker" in rendered
 
     def test_sampled_smoke_run_end_to_end(self, tmp_path):
-        from repro.exp.runner import run_experiments
+        from repro.api import RunRequest, execute_request
 
-        run_experiments(["P1"], smoke=True, cache=False,
-                        out_dir=tmp_path / "run", sample_resources=60)
+        execute_request(
+            RunRequest(ids=("P1",), smoke=True, cache=False, sample_resources=60.0),
+            out_dir=tmp_path / "run",
+        )
         reader = TraceReader.load(tmp_path / "run")
         assert reader.kinds().get(SAMPLE_KIND, 0) >= 2
         (usage, *_) = reader.resource_usage()
@@ -212,7 +214,7 @@ class TestTraceAttribution:
         assert usage.peak_rss_bytes > 0
         # The determinism contract survives: stripping samples restores
         # the unsampled stream's kind sequence.
-        bare = run_experiments(["P1"], smoke=True, cache=False,
+        bare = execute_request(RunRequest(ids=("P1",), smoke=True, cache=False),
                                out_dir=tmp_path / "bare")
         stripped = strip_samples(reader.events)
         bare_reader = TraceReader.load(tmp_path / "bare")
@@ -279,9 +281,9 @@ class TestWatch:
         assert "coordinator" in frame
 
     def test_watch_run_once_on_a_finished_run(self, tmp_path, capsys):
-        from repro.exp.runner import run_experiments
+        from repro.api import RunRequest, execute_request
 
-        run_experiments(["P1"], smoke=True, cache=False,
+        execute_request(RunRequest(ids=("P1",), smoke=True, cache=False),
                         out_dir=tmp_path / "run")
         stream = io.StringIO()
         assert watch_run(tmp_path / "run", once=True, stream=stream) == 0

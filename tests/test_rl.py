@@ -8,6 +8,7 @@ from repro.rl import (
     CrossingEnv,
     DQNAgent,
     DQNConfig,
+    ReliabilityStudyConfig,
     ReplayBuffer,
     SnackEnv,
     Transition,
@@ -16,6 +17,7 @@ from repro.rl import (
     reliability_study,
     train_agent,
 )
+from repro.utils.rng import spawn_children
 
 
 class TestEnvironments:
@@ -189,9 +191,13 @@ class TestReliability:
     def test_study_grid_shape(self):
         cfg = DQNConfig(episodes=8, warmup_transitions=20)
         reports = reliability_study(
-            ["catch"], ["cnn", "attention"], n_seeds=2, config=cfg,
-            size=5, width=6, eval_episodes=5,
-        )
+            ReliabilityStudyConfig(
+                env_names=("catch",), families=("cnn", "attention"), dqn=cfg,
+                size=5, width=6, eval_episodes=5,
+            ),
+            seeds=spawn_children(0, 2),
+            cache=False,
+        ).reports
         assert len(reports) == 2
         assert {r.family for r in reports} == {"cnn", "attention"}
         for r in reports:
@@ -207,7 +213,10 @@ class TestReliability:
 
     def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError):
-            reliability_study(["catch"], ["cnn"], n_seeds=0)
+            reliability_study(
+                ReliabilityStudyConfig(env_names=("catch",), families=("cnn",)),
+                seeds=[],
+            )
 
 
 class TestDoubleDQN:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.robuststats import (
     ContaminationModel,
+    DimensionSweepConfig,
     contaminated_gaussian,
     coordinate_median,
     coordinate_trimmed_mean,
@@ -15,6 +16,7 @@ from repro.robuststats import (
     geometric_median,
     sample_mean,
 )
+from repro.utils.rng import spawn_children
 
 
 class TestContamination:
@@ -117,11 +119,15 @@ class TestEstimators:
 class TestDimensionSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return dimension_sweep([10, 50, 150], eps=0.1, n_trials=2, seed=0)
+        return dimension_sweep(
+            DimensionSweepConfig(dims=(10, 50, 150), eps=0.1),
+            seeds=spawn_children(0, 4),
+            cache=False,
+        )
 
     def test_contains_oracle(self, sweep):
         assert "oracle" in sweep.errors
-        assert sweep.errors["oracle"].shape == (3, 2)
+        assert sweep.errors["oracle"].shape == (3, 4)
 
     def test_filter_near_dimension_free(self, sweep):
         assert sweep.growth_ratio("filter") < 0.5 * sweep.growth_ratio("sample_mean")
@@ -137,8 +143,8 @@ class TestDimensionSweep:
 
     def test_rejects_unsorted_dims(self):
         with pytest.raises(ValueError):
-            dimension_sweep([50, 10])
+            DimensionSweepConfig(dims=(50, 10))
 
     def test_rejects_reserved_name(self):
         with pytest.raises(ValueError, match="reserved"):
-            dimension_sweep([10], estimators={"oracle": sample_mean})
+            DimensionSweepConfig(dims=(10,), estimators={"oracle": sample_mean})

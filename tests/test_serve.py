@@ -637,6 +637,19 @@ class TestAccessLogRotation:
         assert sorted(index.trace_ids()) == [f"t{i:03d}" for i in range(12)]
         assert len(index.requests) == 12
 
+    def test_short_write_raises_naming_the_path(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.serve.access import AccessLog
+
+        monkeypatch.delenv("REPRO_OBS_DISABLE", raising=False)
+        log = AccessLog(tmp_path / "access.jsonl")
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+        with pytest.raises(OSError, match="access.jsonl"):
+            self._fill(log, 1)
+        log.close()
+
     def test_zero_threshold_disables_rotation(self, tmp_path):
         from repro.serve.access import AccessLog
 

@@ -1,18 +1,17 @@
 """The unified Study API contract across all five multi-trial entry points.
 
-Every study accepts ``(config, *, seeds, workers=None, cache=...)`` and
-returns a :class:`repro.parallel.StudyResult` with ``records`` /
-``summary()`` / ``to_table()``; every legacy positional form still works
-but warns :class:`DeprecationWarning` and returns its historical type.
+Every study accepts ``(config, *, seeds, workers=None, cache=...)``
+(``kfold_evaluate`` and ``random_search`` take no ``cache``) and returns a
+:class:`repro.parallel.StudyResult` with ``records`` / ``summary()`` /
+``to_table()``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.parallel import StudyRecord, StudyResult
-from repro.parallel.study import DEFAULT_CACHE, resolve_cache
+from repro.parallel.study import resolve_cache
 from repro.parallel.cache import ResultCache
 
 
@@ -32,7 +31,6 @@ class TestResolveCache:
     def test_true_and_default_build_env_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert isinstance(resolve_cache(True), ResultCache)
-        assert isinstance(resolve_cache(DEFAULT_CACHE), ResultCache)
 
     def test_false_and_none_disable(self):
         assert resolve_cache(False) is None
@@ -62,19 +60,6 @@ class TestDimensionSweep:
         with pytest.raises(ValueError, match="seeds"):
             dimension_sweep(DimensionSweepConfig(dims=(5,)), seeds=[])
 
-    def test_legacy_form_warns_and_matches_old_derivation(self):
-        from repro.robuststats import dimension_sweep
-
-        with pytest.warns(DeprecationWarning):
-            legacy = dimension_sweep(
-                [5, 10], n_trials=2, min_samples=40, seed=0
-            )
-        # Same derivation is stable call-to-call (the old contract).
-        with pytest.warns(DeprecationWarning):
-            again = dimension_sweep([5, 10], n_trials=2, min_samples=40, seed=0)
-        for name in legacy.errors:
-            np.testing.assert_array_equal(legacy.errors[name], again.errors[name])
-
 
 class TestCollectionPlanSweep:
     def test_unified_form(self):
@@ -95,15 +80,6 @@ class TestCollectionPlanSweep:
             r.value["complete"] for r in result.records
         )
 
-    def test_legacy_form_warns_and_returns_list(self):
-        from repro.core import AttritionPlan, collection_plan_sweep
-        from repro.core.multiyear import PlanComparison
-
-        with pytest.warns(DeprecationWarning):
-            out = collection_plan_sweep([("base", AttritionPlan())], seeds=(0,))
-        assert isinstance(out, list)
-        assert isinstance(out[0], PlanComparison)
-
 
 class TestKFoldEvaluate:
     @staticmethod
@@ -123,15 +99,6 @@ class TestKFoldEvaluate:
         assert len(result.scores) == 2
         assert len(result.records) == 6  # 2 splits x 3 folds
         assert result.summary()["n_folds"] == 3
-
-    def test_legacy_form_warns_and_returns_foldscore(self):
-        from repro.histopath import FoldScore, kfold_evaluate, make_patches
-
-        ds = make_patches(n=12, seed=0)
-        with pytest.warns(DeprecationWarning):
-            score = kfold_evaluate(ds, self._train, n_folds=3, seed=0)
-        assert isinstance(score, FoldScore)
-        assert len(score.dice) == 3
 
     def test_config_validation_preserved(self):
         from repro.histopath import KFoldConfig, make_patches
@@ -165,23 +132,9 @@ class TestRandomSearch:
             r.best_estimate.total_s for r in result.per_seed
         )
 
-    def test_legacy_form_warns_and_matches_seed0_search(self):
-        from repro.autotune import RandomSearchConfig, TuneResult, random_search
-
-        kernel, cost_model, framework = self._fixtures()
-        with pytest.warns(DeprecationWarning):
-            legacy = random_search(kernel, cost_model, framework, n_trials=6, seed=0)
-        assert isinstance(legacy, TuneResult)
-        unified = random_search(
-            RandomSearchConfig(kernel, cost_model, framework, n_trials=6),
-            seeds=[0],
-        )
-        assert legacy.best_estimate.total_s == unified.per_seed[0].best_estimate.total_s
-        assert legacy.history == unified.per_seed[0].history
-
 
 class TestReliabilityStudy:
-    def test_unified_and_legacy_agree_on_shared_seeds(self):
+    def test_unified_form(self):
         from repro.rl import (
             DQNConfig,
             ReliabilityResult,
@@ -205,15 +158,9 @@ class TestReliabilityStudy:
         assert isinstance(result, ReliabilityResult)
         assert len(result.reports) == 1
         assert len(result.records) == 2
-
-        # The legacy shim spawns the same seeds from base_seed=0, so the
-        # per-seed returns must agree bit-for-bit.
-        with pytest.warns(DeprecationWarning):
-            legacy = reliability_study(
-                ["catch"], ["cnn"], n_seeds=2, config=dqn,
-                size=5, width=6, eval_episodes=3,
-            )
-        assert legacy[0].per_seed_returns == result.reports[0].per_seed_returns
+        assert result.reports[0].per_seed_returns == tuple(
+            r.value for r in result.records
+        )
 
     def test_unified_rejects_mixed_legacy_kwargs(self):
         from repro.rl import DQNConfig, ReliabilityStudyConfig, reliability_study
