@@ -66,12 +66,12 @@ def measure(
         for mode, profile in modes:
             run_dir = root / f"{mode}-{repeat}"
             t0 = time.perf_counter()
-            summary = execute_request(
+            execute_request(
                 RunRequest(**request, profile=profile), out_dir=run_dir
             )
             walls[mode].append(time.perf_counter() - t0)
             if mode == "profiled":
-                result["n_samples"] = len(summary.profile or [])
+                result["n_samples"] = ProfileReader.load(run_dir).n_samples
                 result["profiled_run_dir"] = str(run_dir)
     for mode, mode_walls in walls.items():
         result[f"{mode}_wall_s"] = min(mode_walls)
@@ -111,8 +111,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="runs per mode, best wall wins (default 3)")
     parser.add_argument("--interval", default="sampling", metavar="MODE",
-                        help="profile mode: 'sampling', 'deterministic', "
-                             "or an interval in seconds (default: sampling)")
+                        help="profile mode: 'sampling' or an interval in "
+                             "seconds (default: sampling)")
     parser.add_argument("--root", default=None, metavar="DIR",
                         help="run-directory root (default: a temp directory)")
     parser.add_argument("--out", metavar="FILE", default=None,

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -45,7 +44,6 @@ from repro.obs.profile import (
     PROFILE_FILE_ENV,
     PROFILE_LOG_NAME,
     PROFILE_SPAN_ENV,
-    DeterministicProfiler,
     SamplingProfiler,
     resolve_profile,
 )
@@ -79,10 +77,6 @@ class RunSummary:
     #: recorded into manifest.json so a served result names the request
     #: that caused it.
     trace: dict[str, Any] | None = None
-    #: In-memory copy of the run's profile records when the run executed
-    #: under ``--profile`` — how ``repro bench`` folds hotspot shares
-    #: without a run directory on disk.
-    profile: list[dict[str, Any]] | None = None
 
     def verdicts(self) -> list[Any]:
         return [r.verdict for r in self.records if r.verdict is not None]
@@ -141,11 +135,11 @@ def execute_request(
     is restored to its previous sink afterwards.  A positive
     ``request.sample_resources`` (or ``REPRO_OBS_SAMPLE``) starts a
     :class:`ResourceSampler` for the duration of the run.  A
-    ``request.profile`` (or ``REPRO_OBS_PROFILE``) attaches the CPU
-    profiler (:mod:`repro.obs.profile`): samples land in a separate
-    ``profile.jsonl`` beside the event stream (in memory when there is no
-    run directory), so ``events.jsonl`` and the results stay byte-
-    identical to an unprofiled run.
+    ``request.profile`` (or ``REPRO_OBS_PROFILE``) attaches the sampling
+    profiler (:mod:`repro.obs.profile`) when there is a run directory:
+    samples land in a separate ``profile.jsonl`` beside the event stream,
+    so ``events.jsonl`` and the results stay byte-identical to an
+    unprofiled run.
     """
     from repro.exp.registry import get_experiment
 
@@ -161,10 +155,12 @@ def execute_request(
     previous_log: Any = None
     sampler: ResourceSampler | None = None
     profiler: SamplingProfiler | None = None
-    det_profiler: DeterministicProfiler | None = None
     profile_log: obs.EventLog | None = None
     saved_profile_env: dict[str, str | None] = {}
     if out_path is not None:
+        # Resolved before any side effect, so a bad knob leaves nothing
+        # behind.
+        profile_mode = resolve_profile(request.profile)
         out_path.mkdir(parents=True, exist_ok=True)
         # The trace is pinned to the log (not just thread-bound) so the
         # resource sampler's daemon-thread emits carry it too.
@@ -176,31 +172,22 @@ def execute_request(
             # obs.quiet() silences the module-level emitter inside cells.
             sampler = ResourceSampler(interval, log=run_log)
             sampler.start()
-    profile_mode = resolve_profile(request.profile)
-    if profile_mode is not None:
-        mode, profile_interval = profile_mode
-        profile_log = obs.EventLog(
-            out_path / PROFILE_LOG_NAME if out_path is not None else None,
-            capture=True,
-            trace=ctx,
-        )
-        if out_path is not None:
+        if profile_mode is not None:
+            _, profile_interval = profile_mode
+            profile_path = out_path / PROFILE_LOG_NAME
             # Eagerly create the stream so a run too fast to catch one
             # sample still reads as "profiled, empty" (not "no stream").
-            (out_path / PROFILE_LOG_NAME).touch()
-        if mode == "deterministic":
-            det_profiler = DeterministicProfiler(profile_log)
-        else:
-            if out_path is not None:
-                # Publish the stream so pmap pool initializers attach
-                # worker-side samplers (fork inherits this env); restored
-                # in the finally below.
-                saved_profile_env = {
-                    key: os.environ.get(key)
-                    for key in (PROFILE_ENV, PROFILE_FILE_ENV, PROFILE_SPAN_ENV)
-                }
-                os.environ[PROFILE_FILE_ENV] = str(out_path / PROFILE_LOG_NAME)
-                os.environ[PROFILE_ENV] = str(profile_interval)
+            profile_path.touch()
+            profile_log = obs.EventLog(profile_path, trace=ctx)
+            # Publish the stream so pmap pool initializers attach
+            # worker-side samplers (fork inherits this env); restored
+            # in the finally below.
+            saved_profile_env = {
+                key: os.environ.get(key)
+                for key in (PROFILE_ENV, PROFILE_FILE_ENV, PROFILE_SPAN_ENV)
+            }
+            os.environ[PROFILE_FILE_ENV] = str(profile_path)
+            os.environ[PROFILE_ENV] = str(profile_interval)
             profiler = SamplingProfiler(profile_interval, log=profile_log)
             profiler.start()
     try:
@@ -215,14 +202,8 @@ def execute_request(
                 start = time.perf_counter()
                 # The span makes each experiment a node of the run's call
                 # tree, so `repro trace --critical-path` names the dominant
-                # one.  The deterministic profiler wraps the same frame,
-                # attributing its cProfile rows to the experiment's span.
-                profile_cm = (
-                    det_profiler.profile(exp.id)
-                    if det_profiler is not None
-                    else nullcontext()
-                )
-                with obs.span(exp.id), profile_cm:
+                # one.
+                with obs.span(exp.id):
                     result = exp.run(
                         request.overrides_for(exp.id),
                         smoke=request.smoke,
@@ -264,8 +245,7 @@ def execute_request(
         if out_path is not None:
             obs.configure(previous_log)
     summary = RunSummary(
-        records, request.smoke, out_path, manifest, trace=ctx.as_dict(),
-        profile=profile_log.records if profile_log is not None else None,
+        records, request.smoke, out_path, manifest, trace=ctx.as_dict()
     )
     if out_path is not None:
         _write_artifacts(summary, out_path)

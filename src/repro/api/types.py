@@ -123,10 +123,11 @@ class RunRequest:
     overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     sample_resources: float | None = None
     #: CPU profiling knob: ``None`` (defer to ``REPRO_OBS_PROFILE``),
-    #: ``"sampling"``, ``"deterministic"``, or a sampling interval in
-    #: seconds as a string.  Like the other execution knobs it is
-    #: excluded from :meth:`canonical`/:meth:`digest` — the profiler
-    #: writes a separate volatile stream and cannot change result values.
+    #: ``"sampling"``, or a sampling interval in seconds as a string; it
+    #: takes effect only for runs with a run directory.  Like the other
+    #: execution knobs it is excluded from :meth:`canonical`/:meth:`digest`
+    #: — the profiler writes a separate volatile stream and cannot change
+    #: result values.
     profile: str | None = None
 
     def __post_init__(self) -> None:
@@ -189,19 +190,18 @@ class RunRequest:
             _require(
                 isinstance(profile, (str, int, float))
                 and not isinstance(profile, bool),
-                "'profile' must be 'sampling', 'deterministic', or a "
-                "sampling interval in seconds",
+                "'profile' must be 'sampling' or a sampling interval in seconds",
             )
             profile = str(profile)
-            if profile not in ("sampling", "deterministic"):
+            if profile != "sampling":
                 try:
                     ok = float(profile) > 0
                 except ValueError:
                     ok = False
                 _require(
                     ok,
-                    "'profile' must be 'sampling', 'deterministic', or a "
-                    "positive sampling interval in seconds",
+                    "'profile' must be 'sampling' or a positive sampling "
+                    "interval in seconds",
                 )
         return cls(
             ids=tuple(ids),

@@ -31,11 +31,7 @@ Subcommands
 ``bench <ids|all>``
     Time experiments (median of ``--repeats``) and either ``--record``
     the baselines or gate ``--against`` them, exiting non-zero on
-    regression (``--record-missing`` bootstraps absent entries).  With
-    ``--profile``, each experiment's top-k hotspot shares are recorded
-    into the same baseline file and gated alongside the timings — a
-    function whose share of an experiment's wall grows past the
-    tolerance fails the gate even when total wall time stayed flat.
+    regression (``--record-missing`` bootstraps absent entries).
 ``runs list|diff|flaky``
     Cross-run history via :mod:`repro.obs.history`: list every indexed
     run under ``--root`` (default ``REPRO_RUNS_DIR`` or ``runs/``),
@@ -66,9 +62,10 @@ Shared options: ``--smoke`` selects each experiment's CI-scale config
 tier; ``--seeds N`` overrides the trial-seed count where an experiment
 has one; ``--workers N`` and ``--no-cache`` flow to every
 :mod:`repro.parallel` call; ``--json OUT`` writes the machine-readable
-results/verdicts.  ``repro run --sample-resources [SEC]`` starts the
-:class:`repro.obs.resources.ResourceSampler` for the run;
-``--profile [sampling|deterministic|SEC]`` attaches the CPU profiler
+results/verdicts.  Two options belong to ``repro run`` alone, because
+they write into its run directory: ``--sample-resources [SEC]`` starts
+the :class:`repro.obs.resources.ResourceSampler` for the run, and
+``--profile [sampling|SEC]`` attaches the sampling CPU profiler
 (:mod:`repro.obs.profile`), writing ``profile.jsonl`` beside the event
 stream.
 
@@ -88,8 +85,9 @@ from typing import Any, Sequence
 
 import repro
 from repro import obs
-from repro.obs.baseline import BaselineStore, HotspotBaseline, median
+from repro.obs.baseline import BaselineStore, median
 from repro.obs.history import HistoryError, RunDiff, RunRegistry, detect_flakiness
+from repro.obs.profile import resolve_profile
 from repro.obs.resources import DEFAULT_INTERVAL_S
 from repro.obs.watch import watch_run
 from repro.obs.trace import (
@@ -109,6 +107,15 @@ from repro.exp.registry import all_experiments
 from repro.exp.reporting import rows_table, verdict_table
 
 __all__ = ["build_parser", "main"]
+
+
+def _profile_arg(text: str) -> str:
+    """Validate ``--profile`` at parse time, so a typo exits 2."""
+    try:
+        resolve_profile(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,13 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool size for repro.parallel calls")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the content-addressed result cache")
-        p.add_argument("--profile", nargs="?", const="sampling",
-                       default=None, metavar="MODE",
-                       help="attach the CPU profiler: 'sampling' (bare "
-                            "flag), 'deterministic' (cProfile), or a "
-                            "sampling interval in seconds; writes "
-                            "profile.jsonl beside events.jsonl (also via "
-                            "REPRO_OBS_PROFILE)")
         p.add_argument("--json", dest="json_out", metavar="OUT",
                        help="write machine-readable output to this file")
 
@@ -157,6 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
                           f"every SEC seconds (bare flag: every "
                           f"{DEFAULT_INTERVAL_S}s; also via "
                           "REPRO_OBS_SAMPLE)")
+    run.add_argument("--profile", nargs="?", type=_profile_arg,
+                     const="sampling", default=None, metavar="MODE",
+                     help="attach the sampling CPU profiler: 'sampling' "
+                          "(bare flag) or an interval in seconds; writes "
+                          "profile.jsonl beside events.jsonl (also via "
+                          "REPRO_OBS_PROFILE)")
 
     report = sub.add_parser("report", help="print regenerated-vs-paper tables")
     add_run_options(report)
@@ -495,11 +501,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"repro profile: {hint or exc}", file=sys.stderr)
         return 2
     if args.flamegraph is not None:
-        try:
-            collapsed = profile.flamegraph(span=args.span)
-        except TraceError as exc:
-            print(f"repro profile: {exc}", file=sys.stderr)
-            return 2
+        collapsed = profile.flamegraph(span=args.span)
         if args.flamegraph == "-":
             sys.stdout.write(collapsed)
         else:
@@ -514,46 +516,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_timings(
-    args: argparse.Namespace,
-) -> tuple[dict[str, list[float]], list[dict[str, Any]]]:
-    """Median-of-k source data: each repeat's event-derived wall times.
-
-    Also pools every repeat's in-memory profile records (empty unless the
-    bench ran under ``--profile``) — the hotspot gate's source data.
-    """
+def _bench_timings(args: argparse.Namespace) -> dict[str, list[float]]:
+    """Median-of-k source data: each repeat's event-derived wall times."""
     repeats = max(1, args.repeats)
     timings: dict[str, list[float]] = {}
-    profile_records: list[dict[str, Any]] = []
     for _ in range(repeats):
         summary = _execute(args, out_dir=None)
         for exp_id, seconds in summary.timings().items():
             timings.setdefault(exp_id, []).append(seconds)
-        if summary.profile:
-            profile_records.extend(summary.profile)
-    return timings, profile_records
-
-
-def _hotspot_shares(
-    profile_records: list[dict[str, Any]],
-) -> dict[str, dict[str, float]]:
-    """Per-experiment function shares from pooled bench profile records.
-
-    Spans are rooted at experiment ids (``E6``, ``E6/...``), so grouping
-    by root segment attributes every sample to its experiment; the
-    unattributed ``(run)`` remainder (coordinator idle time between
-    experiments) is dropped.
-    """
-    profile = ProfileReader(profile_records)
-    shares: dict[str, dict[str, float]] = {}
-    for span_path in profile.spans():
-        exp_id = span_path.split("/")[0]
-        if exp_id == "(run)" or exp_id in shares:
-            continue
-        span_shares = profile.shares(span=exp_id)
-        if span_shares:
-            shares[exp_id] = span_shares
-    return shares
+    return timings
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -562,26 +533,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     tier = "smoke" if args.smoke else "default"
-    timings, profile_records = _bench_timings(args)
-    hotspot_shares = _hotspot_shares(profile_records)
+    timings = _bench_timings(args)
 
     if args.record:
         store = BaselineStore.load(args.record)
         for exp_id, samples in sorted(timings.items()):
             store.record(tier, exp_id, samples)
-        hotspots = HotspotBaseline(store)
-        for exp_id, shares in sorted(hotspot_shares.items()):
-            hotspots.record(tier, exp_id, shares)
         store.save()
         rows = [(e, f"{min(s):.3f}", f"{median(s):.3f}")
                 for e, s in sorted(timings.items())]
-        title = f"recorded {len(rows)} baselines (tier={tier}) -> {args.record}"
-        if hotspot_shares:
-            title = (f"recorded {len(rows)} baselines + "
-                     f"{len(hotspot_shares)} hotspot profiles "
-                     f"(tier={tier}) -> {args.record}")
-        print(rows_table(["experiment", "min s", "median s"], rows,
-                         title=title))
+        print(rows_table(
+            ["experiment", "min s", "median s"], rows,
+            title=f"recorded {len(rows)} baselines (tier={tier}) -> {args.record}",
+        ))
         return 0
 
     store = BaselineStore.load(args.against)
@@ -589,46 +553,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         kwargs["threshold"] = args.threshold
     report = store.compare(tier, timings, **kwargs)
-    hotspots = HotspotBaseline(store)
-    hotspot_report = (
-        hotspots.compare(tier, hotspot_shares) if hotspot_shares else None
-    )
-    if args.record_missing:
-        bootstrapped = 0
+    if args.record_missing and report.new:
         for comparison in report.new:
             store.record(tier, comparison.experiment,
                          timings[comparison.experiment])
-            bootstrapped += 1
-        if hotspot_report is not None:
-            for exp_id in sorted({
-                c.experiment for c in hotspot_report.comparisons
-                if c.status == "new"
-            }):
-                hotspots.record(tier, exp_id, hotspot_shares[exp_id])
-                bootstrapped += 1
-        if bootstrapped:
-            store.save()
-            print(f"bootstrapped {bootstrapped} baseline entries "
-                  f"into {args.against}")
+        store.save()
+        print(f"bootstrapped {len(report.new)} baseline entries "
+              f"into {args.against}")
     print(report.to_table())
     n_reg = len(report.regressions)
-    hotspot_failed = False
-    if hotspot_report is not None:
-        print()
-        print(hotspot_report.to_table())
-        n_hot = len(hotspot_report.regressions)
-        hotspot_failed = not hotspot_report.passed
-        print(f"\nhotspot gate: {'PASS' if hotspot_report.passed else 'FAIL'} "
-              f"({n_hot} share regression{'s' if n_hot != 1 else ''})")
     print(f"\nperf gate: {'PASS' if report.passed else 'FAIL'} "
           f"({n_reg} regression{'s' if n_reg != 1 else ''}, "
           f"{len(report.new)} new)")
     if args.json_out:
-        payload = report.as_dict()
-        if hotspot_report is not None:
-            payload["hotspots"] = hotspot_report.as_dict()
-        _write_json(args.json_out, payload)
-    return 1 if (report.regressions or hotspot_failed) else 0
+        _write_json(args.json_out, report.as_dict())
+    return 1 if report.regressions else 0
 
 
 def _emit_json(json_out: str, payload: Any) -> None:

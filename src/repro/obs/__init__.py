@@ -36,12 +36,10 @@ Read side — what the streams are *for*:
   and pmap workers) into the run's event log; :class:`TraceReader`
   attributes peak RSS per worker and per span.
 * **CPU profiling** (:mod:`repro.obs.profile`) — an opt-in sampling
-  profiler (plus a deterministic cProfile fallback) writing per-span
-  stack captures of the coordinator and pmap workers to ``profile.jsonl``
-  beside the event stream; :class:`ProfileReader` derives per-span
-  hotspot tables and collapsed-stack flamegraphs (the ``repro profile``
-  subcommand), and :class:`HotspotBaseline` gates per-function wall
-  shares in CI.
+  profiler writing per-span stack captures of the coordinator and pmap
+  workers to ``profile.jsonl`` beside the event stream;
+  :class:`ProfileReader` derives per-span hotspot tables and
+  collapsed-stack flamegraphs (the ``repro profile`` subcommand).
 
 Knobs: ``REPRO_OBS_DIR`` points the default logger at a directory
 (``events.jsonl`` inside it); ``REPRO_OBS_DISABLE=1`` silences
@@ -52,8 +50,6 @@ from repro.obs.baseline import (
     BaselineEntry,
     BaselineStore,
     Comparison,
-    HotspotBaseline,
-    HotspotReport,
     RegressionReport,
 )
 from repro.obs.events import (
@@ -95,7 +91,6 @@ from repro.obs.metrics import (
     get_metrics,
 )
 from repro.obs.profile import (
-    DeterministicProfiler,
     SamplingProfiler,
     attach_worker_profiler,
     resolve_profile,
@@ -158,12 +153,9 @@ __all__ = [
     "BaselineStore",
     "Comparison",
     "RegressionReport",
-    "HotspotBaseline",
-    "HotspotReport",
     "VOLATILE_FIELDS",
     "VOLATILE_KINDS",
     "SamplingProfiler",
-    "DeterministicProfiler",
     "attach_worker_profiler",
     "resolve_profile",
     "render_prometheus",

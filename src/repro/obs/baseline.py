@@ -35,14 +35,9 @@ __all__ = [
     "BASELINE_SCHEMA",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MIN_DELTA_S",
-    "DEFAULT_SHARE_TOLERANCE",
-    "HOTSPOT_TOP_K",
     "BaselineEntry",
     "Comparison",
     "RegressionReport",
-    "HotspotComparison",
-    "HotspotReport",
-    "HotspotBaseline",
     "BaselineStore",
     "median",
 ]
@@ -54,15 +49,6 @@ DEFAULT_THRESHOLD = 0.25
 
 #: ... and to exceed the baseline by at least this many seconds.
 DEFAULT_MIN_DELTA_S = 0.05
-
-#: Functions recorded per experiment by the hotspot baseline.
-HOTSPOT_TOP_K = 5
-
-#: A hotspot regression needs a function's share of its experiment's
-#: wall to grow by more than this (absolute).  Sized for sampling noise:
-#: a few hundred samples put a binomial share's standard error a few
-#: percentage points wide, so a ten-point absolute jump is signal.
-DEFAULT_SHARE_TOLERANCE = 0.10
 
 
 def median(samples: Sequence[float]) -> float:
@@ -173,184 +159,6 @@ class RegressionReport:
                 c.status,
             ])
         return table.render()
-
-
-@dataclass(frozen=True)
-class HotspotComparison:
-    """One function's share verdict inside one experiment.
-
-    ``status`` is ``ok`` (within tolerance), ``regression`` (the
-    function's share of the experiment's wall grew past the tolerance),
-    ``improved`` (shrank past it), ``new`` (no baseline share for this
-    function), or ``missing`` (baseline names a function the current
-    profile attributed no time to) — only ``regression`` gates.
-    """
-
-    experiment: str
-    function: str
-    status: str
-    baseline_share: float | None
-    current_share: float | None
-
-    @property
-    def delta(self) -> float | None:
-        if self.baseline_share is None or self.current_share is None:
-            return None
-        return self.current_share - self.baseline_share
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "function": self.function,
-            "status": self.status,
-            "baseline_share": self.baseline_share,
-            "current_share": self.current_share,
-            "delta": self.delta,
-        }
-
-
-@dataclass
-class HotspotReport:
-    """The machine-readable verdict of one hotspot-gate pass."""
-
-    tier: str
-    tolerance: float
-    comparisons: list[HotspotComparison] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[HotspotComparison]:
-        return [c for c in self.comparisons if c.status == "regression"]
-
-    @property
-    def passed(self) -> bool:
-        return not self.regressions
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "tier": self.tier,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "n_regressions": len(self.regressions),
-            "comparisons": [c.as_dict() for c in self.comparisons],
-        }
-
-    def to_table(self) -> str:
-        """Render the verdict as a text table (returned, never printed)."""
-        table = Table(
-            ["experiment", "function", "baseline %", "current %",
-             "delta", "status"],
-            title=(
-                f"hotspot gate (tier={self.tier}, "
-                f"tolerance=+{100 * self.tolerance:.0f}pp)"
-            ),
-            decimals=1,
-        )
-        for c in self.comparisons:
-            table.add_row([
-                c.experiment,
-                c.function,
-                "-" if c.baseline_share is None else 100 * c.baseline_share,
-                "-" if c.current_share is None else 100 * c.current_share,
-                "-" if c.delta is None else f"{100 * c.delta:+.1f}pp",
-                c.status,
-            ])
-        return table.render()
-
-
-class HotspotBaseline:
-    """Top-k per-function wall shares, stored inside the baseline file.
-
-    Wraps a :class:`BaselineStore` and keeps its entries under a separate
-    ``"hotspots"`` key of the *same* document::
-
-        {"schema": 1,
-         "tiers": {...},
-         "hotspots": {"smoke": {"E6": {"nn/conv.py:_im2col": 0.41, ...}}}}
-
-    Sharing the document (rather than a second file) means one
-    ``store.save()`` persists timings and hotspot shares together —
-    two stores racing on ``BENCH_baselines.json`` cannot clobber each
-    other's half.
-
-    Function keys are the line-number-free
-    :attr:`repro.obs.trace.Hotspot.key` (``file:func``), so edits above
-    a function do not churn its baseline identity.  :meth:`record` keeps
-    only the top :data:`HOTSPOT_TOP_K` shares per experiment;
-    :meth:`compare` receives *full* share maps so a function that fell
-    out of the current top-k still gets an honest current share instead
-    of a phantom zero.
-    """
-
-    def __init__(self, store: BaselineStore) -> None:
-        self.store = store
-
-    def _tiers(self) -> dict[str, Any]:
-        return self.store._doc.setdefault("hotspots", {})
-
-    def entries(self, tier: str) -> dict[str, dict[str, float]]:
-        """Recorded shares of one tier: ``experiment -> {function: share}``."""
-        out: dict[str, dict[str, float]] = {}
-        for exp, shares in sorted(self._tiers().get(tier, {}).items()):
-            out[exp] = {str(k): float(v) for k, v in sorted(shares.items())}
-        return out
-
-    def record(
-        self,
-        tier: str,
-        experiment: str,
-        shares: Mapping[str, float],
-        *,
-        top_k: int = HOTSPOT_TOP_K,
-    ) -> dict[str, float]:
-        """Store an experiment's top-k function shares."""
-        ranked = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-        entry = {str(func): round(float(share), 4) for func, share in ranked}
-        self._tiers().setdefault(tier, {})[experiment] = entry
-        return entry
-
-    def compare(
-        self,
-        tier: str,
-        shares_by_exp: Mapping[str, Mapping[str, float]],
-        *,
-        tolerance: float = DEFAULT_SHARE_TOLERANCE,
-    ) -> HotspotReport:
-        """Fold current shares against the stored tier into a verdict.
-
-        Only experiments present in both the baseline and the current
-        profile produce gating comparisons; unbaselined experiments show
-        up as ``new`` (informational).
-        """
-        report = HotspotReport(tier=tier, tolerance=tolerance)
-        baselines = self.entries(tier)
-        for exp, current in sorted(shares_by_exp.items()):
-            base = baselines.get(exp)
-            if base is None:
-                for func, share in sorted(
-                    current.items(), key=lambda kv: (-kv[1], kv[0])
-                )[:HOTSPOT_TOP_K]:
-                    report.comparisons.append(
-                        HotspotComparison(exp, func, "new", None, float(share))
-                    )
-                continue
-            for func, base_share in base.items():
-                if func in current:
-                    cur_share = float(current[func])
-                    delta = cur_share - base_share
-                    if delta > tolerance:
-                        status = "regression"
-                    elif -delta > tolerance:
-                        status = "improved"
-                    else:
-                        status = "ok"
-                    report.comparisons.append(
-                        HotspotComparison(exp, func, status, base_share, cur_share)
-                    )
-                else:
-                    report.comparisons.append(
-                        HotspotComparison(exp, func, "missing", base_share, None)
-                    )
-        return report
 
 
 class BaselineStore:

@@ -87,7 +87,7 @@ VOLATILE_FIELDS = ("ts", "wall", "trace")
 #: stream are wall-clock-determined (sampler ticks), so stream-comparison
 #: tooling drops whole records of these kinds before byte comparison —
 #: :func:`repro.obs.resources.strip_samples` is the canonical filter.
-VOLATILE_KINDS = ("resource_sample", "profile_sample", "profile_stat")
+VOLATILE_KINDS = ("resource_sample", "profile_sample")
 
 
 def _jsonable(value: Any) -> Any:

@@ -6,23 +6,19 @@ order-of-magnitude wins in the ``repro.nn``/``repro.autotune`` hot paths,
 and a perf claim without a function-level trail is guesswork — so every
 profiled run records per-function cost as a machine-checkable artifact
 (``profile.jsonl`` beside ``events.jsonl``) that ``repro profile`` can
-read back and ``repro bench --against`` can gate.
+read back and render as a hotspot table or a flamegraph.
 
-Two profilers, one stream
--------------------------
-* :class:`SamplingProfiler` (the default, ``--profile``) — a stdlib-only
-  daemon thread that periodically captures the target thread's Python
-  stack via :func:`sys._current_frames` and emits one ``profile_sample``
-  record per tick.  Each sample carries the executing pid/role, the
-  active span path from the coordinator's bind stack
-  (:func:`repro.obs.spans.current_span_path`), and the stack as
-  ``[func, file, line]`` frames, root first.  Cheap enough to leave on
-  for a whole run (CI gates the overhead at <5%).
-* :class:`DeterministicProfiler` (``--profile=deterministic``) — a
-  :mod:`cProfile` fallback wrapped around each experiment, folded into
-  ``profile_stat`` records (per-function call counts and
-  tottime/cumtime).  Exact call counts, but coordinator-only and no
-  stacks, so no flamegraph.
+The sampling profiler
+---------------------
+:class:`SamplingProfiler` (``repro run --profile``) is a stdlib-only
+daemon thread that periodically captures the target thread's Python
+stack via :func:`sys._current_frames` and emits one ``profile_sample``
+record per tick.  Each sample carries the executing pid/role, the
+active span path from the coordinator's bind stack
+(:func:`repro.obs.spans.current_span_path`), and the stack as
+``[func, file, line]`` frames, root first.  Cheap enough to leave on
+for a whole run (CI gates the overhead at <5%).  For exact call counts,
+run the stdlib profiler instead: ``python -m cProfile -m repro run ...``.
 
 Worker processes
 ----------------
@@ -40,49 +36,44 @@ Determinism contract
 Profile samples never touch ``events.jsonl``: they live in their own
 stream, every measured quantity rides in the volatile ``wall`` half of
 each record (payloads stay empty), and
-:func:`repro.obs.resources.strip_samples` drops both sample kinds from
+:func:`repro.obs.resources.strip_samples` drops the samples from
 in-memory captures.  A profiled run's stripped event stream, canonical
 ``results.json`` bytes, and request digest are byte-identical to an
 unprofiled run's — the test suite enforces all three.
 
-Knobs: ``--profile [sampling|deterministic|SEC]`` on ``repro run`` /
-``repro bench``, or ``REPRO_OBS_PROFILE`` (``1``/``sampling`` for the
-default cadence, ``deterministic``, or a float interval in seconds).
-``REPRO_OBS_DISABLE=1`` silences profiling like every other instrument.
+Knobs: ``--profile [sampling|SEC]`` on ``repro run``, or
+``REPRO_OBS_PROFILE`` (``1``/``sampling`` for the default cadence, or a
+float interval in seconds); any other value is a ``ValueError``.
+Profiling needs a run directory: the samples land in its
+``profile.jsonl``.  ``REPRO_OBS_DISABLE=1`` silences profiling like
+every other instrument.
 """
 
 from __future__ import annotations
 
-import cProfile
 import os
-import pstats
 import sys
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.obs.events import EventLog
 from repro.obs.spans import current_span_path
 
 __all__ = [
     "PROFILE_KIND",
-    "STAT_KIND",
     "PROFILE_LOG_NAME",
     "PROFILE_ENV",
     "PROFILE_FILE_ENV",
     "PROFILE_SPAN_ENV",
     "DEFAULT_INTERVAL_S",
     "SamplingProfiler",
-    "DeterministicProfiler",
     "attach_worker_profiler",
     "resolve_profile",
     "short_file",
 ]
 
-#: One periodic stack capture (sampling mode).
+#: One periodic stack capture.
 PROFILE_KIND = "profile_sample"
-#: One per-function cProfile row (deterministic mode).
-STAT_KIND = "profile_stat"
 #: File name of the profile stream inside a run directory.
 PROFILE_LOG_NAME = "profile.jsonl"
 
@@ -93,10 +84,6 @@ DEFAULT_INTERVAL_S = 0.005
 #: Stacks deeper than this are truncated at the root end — the leaf
 #: (the executing function) is what hotspot attribution needs.
 MAX_STACK_DEPTH = 80
-
-#: cProfile rows kept per span, largest self-time first (a NumPy-heavy
-#: experiment touches thousands of functions; the tail is noise).
-MAX_STAT_ROWS = 300
 
 PROFILE_ENV = "REPRO_OBS_PROFILE"
 #: Published by the coordinator for the lifetime of a file-backed
@@ -112,29 +99,30 @@ def resolve_profile(value: Any = None) -> tuple[str, float] | None:
     """Normalize a profile knob to ``(mode, interval_s)`` or ``None`` (off).
 
     ``None`` defers to the ``REPRO_OBS_PROFILE`` environment variable.
-    Accepted values: ``"sampling"``/``"1"`` (default cadence),
-    ``"deterministic"`` (cProfile, interval 0), or a positive float —
-    a sampling interval in seconds.  The ``REPRO_OBS_DISABLE=1`` kill
-    switch turns profiling off like every other instrument.
+    Accepted values: ``"sampling"``/``"1"`` (default cadence), an off
+    word (``"0"``/``"off"``/...), or a float — a sampling interval in
+    seconds, where ``<= 0`` means off.  Anything else raises
+    :class:`ValueError` naming the value, even under the
+    ``REPRO_OBS_DISABLE=1`` kill switch, which otherwise turns profiling
+    off like every other instrument.
     """
-    if os.environ.get(_DISABLE_ENV, "") == "1":
-        return None
+    name = "profile"
     if value is None:
-        value = os.environ.get(PROFILE_ENV, "").strip()
-        if not value:
-            return None
+        name, value = PROFILE_ENV, os.environ.get(PROFILE_ENV, "")
     text = str(value).strip().lower()
     if text in ("", "0", "off", "none", "false"):
         return None
-    if text == "deterministic":
-        return ("deterministic", 0.0)
     if text in ("1", "sampling", "on", "true"):
-        return ("sampling", DEFAULT_INTERVAL_S)
-    try:
-        interval = float(text)
-    except ValueError:
-        return ("sampling", DEFAULT_INTERVAL_S)
-    if interval <= 0:
+        interval = DEFAULT_INTERVAL_S
+    else:
+        try:
+            interval = float(text)
+        except ValueError:
+            raise ValueError(
+                f"{name} must be 'sampling' or an interval in seconds, "
+                f"got {value!r}"
+            ) from None
+    if not interval > 0 or os.environ.get(_DISABLE_ENV, "") == "1":
         return None
     return ("sampling", interval)
 
@@ -273,58 +261,6 @@ class SamplingProfiler:
 
     def __exit__(self, *exc: Any) -> None:
         self.stop()
-
-
-class DeterministicProfiler:
-    """cProfile fallback: exact per-function costs, coordinator-only.
-
-    :meth:`profile` wraps one region (``repro run`` wraps each
-    experiment) in a :class:`cProfile.Profile` and folds the stats into
-    ``profile_stat`` records — one per function, largest self-time
-    first, capped at :data:`MAX_STAT_ROWS`.  No stacks are recorded, so
-    deterministic runs have hotspot tables but no flamegraph.
-    """
-
-    def __init__(self, log: Any) -> None:
-        if log is not None and not isinstance(log, EventLog):
-            log = EventLog(log)
-        self._log = log
-
-    @contextmanager
-    def profile(self, span: str) -> Iterator[None]:
-        """Profile the enclosed block, attributing every row to ``span``."""
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            yield
-        finally:
-            profiler.disable()
-            self._flush(profiler, span)
-
-    def _flush(self, profiler: cProfile.Profile, span: str) -> None:
-        if self._log is None:
-            return
-        stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
-        rows = sorted(
-            stats.items(), key=lambda item: item[1][2], reverse=True
-        )[:MAX_STAT_ROWS]
-        pid = os.getpid()
-        for (file, line, func), (cc, nc, tt, ct, _callers) in rows:
-            self._log.emit(
-                STAT_KIND,
-                payload={},
-                wall={
-                    "pid": pid,
-                    "role": "coordinator",
-                    "span": span,
-                    "func": func,
-                    "file": short_file(file),
-                    "line": int(line),
-                    "ncalls": int(nc),
-                    "tottime_s": float(tt),
-                    "cumtime_s": float(ct),
-                },
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,9 @@ def sample_processes(
 def strip_samples(
     records: Iterable[Mapping[str, Any]]
 ) -> list[Mapping[str, Any]]:
-    """Drop sampler-tick records (``resource_sample``, ``profile_sample``,
-    ``profile_stat``) — they sit outside the determinism contract: their
-    *positions* in the stream are wall-clock-determined."""
+    """Drop sampler-tick records (``resource_sample``, ``profile_sample``)
+    — they sit outside the determinism contract: their *positions* in the
+    stream are wall-clock-determined."""
     from repro.obs.events import VOLATILE_KINDS
 
     return [r for r in records if r.get("kind") not in VOLATILE_KINDS]

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.events import SCHEMA_VERSION, TraceError, _parse_stream
-from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME, STAT_KIND
+from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME
 from repro.utils.tables import Table
 
 __all__ = [
@@ -901,9 +901,8 @@ def render_critical_path(reader: TraceReader) -> str:
 class Hotspot:
     """One function's aggregated cost across a profile stream.
 
-    Weights are approximate CPU seconds: in sampling mode each stack
-    capture contributes its sampling interval, in deterministic mode the
-    cProfile ``tottime``/``cumtime`` are used directly.  ``self_weight``
+    Weights are approximate CPU seconds: each stack capture contributes
+    its sampling interval.  ``self_weight``
     counts only samples whose *leaf* frame is this function (exclusive
     time); ``total_weight`` counts every sample the function appears in
     anywhere on the stack (inclusive time, recursion-safe).
@@ -920,8 +919,8 @@ class Hotspot:
 
     @property
     def key(self) -> str:
-        """The line-number-free identity used by the hotspot baseline gate
-        (edits above a function must not churn its baseline key)."""
+        """The line-number-free identity ``file:func`` (edits above a
+        function do not change it)."""
         return f"{self.file}:{self.func}"
 
     def as_dict(self) -> dict[str, Any]:
@@ -940,11 +939,9 @@ class ProfileReader:
 
     Construct with :meth:`load` (a path to ``profile.jsonl`` or to the
     run directory that contains it) or :meth:`from_records` (in-memory
-    records from a :class:`repro.obs.events.EventLog`).  Handles both
-    record kinds the write side emits: ``profile_sample`` stacks from the
-    sampling profiler (coordinator and pmap workers interleaved in one
-    stream) and ``profile_stat`` rows from the deterministic cProfile
-    fallback.
+    records from a :class:`repro.obs.events.EventLog`).  The stream holds
+    ``profile_sample`` stacks from the sampling profiler, coordinator and
+    pmap workers interleaved.
 
     Span filters accept a path prefix: ``span="E6"`` matches samples
     stamped ``E6`` *and* any nested span under it (``E6/sweep/...``), so
@@ -962,7 +959,6 @@ class ProfileReader:
         self.truncated = truncated
         self.source = source
         self.samples = [e for e in self.events if e["kind"] == PROFILE_KIND]
-        self.stats = [e for e in self.events if e["kind"] == STAT_KIND]
 
     @classmethod
     def load(cls, source: str | os.PathLike) -> "ProfileReader":
@@ -986,14 +982,12 @@ class ProfileReader:
         return cls(records)
 
     def __len__(self) -> int:
-        return len(self.samples) + len(self.stats)
+        return len(self.samples)
 
     @property
     def mode(self) -> str:
-        """``sampling``, ``deterministic``, or ``empty`` (no ticks landed)."""
-        if self.samples:
-            return "sampling"
-        return "deterministic" if self.stats else "empty"
+        """``sampling``, or ``empty`` when no ticks landed."""
+        return "sampling" if self.samples else "empty"
 
     @property
     def n_samples(self) -> int:
@@ -1025,17 +1019,13 @@ class ProfileReader:
 
         Span paths are the *innermost* paths the profiler stamped;
         experiment-level aggregation happens via the prefix-matching
-        span filters on :meth:`hotspots`/:meth:`shares`.
+        span filter on :meth:`hotspots`.
         """
         out: dict[str, float] = {}
         for event in self.samples:
             wall = event.get("wall", {})
             span = self._span_of(wall)
             out[span] = out.get(span, 0.0) + self._sample_weight(wall)
-        for event in self.stats:
-            wall = event.get("wall", {})
-            span = self._span_of(wall)
-            out[span] = out.get(span, 0.0) + float(wall.get("tottime_s", 0.0) or 0.0)
         return dict(sorted(out.items(), key=lambda kv: kv[1], reverse=True))
 
     def total_weight(self, span: str | None = None) -> float:
@@ -1078,54 +1068,15 @@ class ProfileReader:
                     continue  # recursion: inclusive time counts once
                 seen.add(frame)
                 slot(*frame).total_weight += weight
-        for event in self.stats:
-            wall = event.get("wall", {})
-            if not self._span_matches(span, self._span_of(wall)):
-                continue
-            process = f"{wall.get('role', '?')}:{wall.get('pid', '?')}"
-            entry = slot(
-                str(wall.get("func", "?")),
-                str(wall.get("file", "?")),
-                int(wall.get("line", 0) or 0),
-            )
-            tottime = float(wall.get("tottime_s", 0.0) or 0.0)
-            entry.self_weight += tottime
-            entry.total_weight += float(wall.get("cumtime_s", 0.0) or 0.0)
-            entry.by_process[process] = (
-                entry.by_process.get(process, 0.0) + tottime
-            )
         return sorted(
             table.values(),
             key=lambda h: (-h.self_weight, -h.total_weight, h.key),
         )
 
-    def shares(
-        self, span: str | None = None, top: int | None = None
-    ) -> dict[str, float]:
-        """Each function's fraction of a span's exclusive weight.
-
-        Keyed by the line-free :attr:`Hotspot.key`; rows for the same
-        function at different lines merge.  This is the quantity the
-        :class:`repro.obs.baseline.HotspotBaseline` gate records and
-        compares.
-        """
-        total = self.total_weight(span)
-        if total <= 0:
-            return {}
-        merged: dict[str, float] = {}
-        for hotspot in self.hotspots(span):
-            merged[hotspot.key] = merged.get(hotspot.key, 0.0) + (
-                hotspot.self_weight / total
-            )
-        ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
-        if top is not None:
-            ranked = ranked[:top]
-        return dict(ranked)
-
     def processes(self, span: str | None = None) -> list[dict[str, Any]]:
         """Per-process sample totals: the coordinator/worker split."""
         out: dict[str, dict[str, Any]] = {}
-        for event in self.samples + self.stats:
+        for event in self.samples:
             wall = event.get("wall", {})
             if not self._span_matches(span, self._span_of(wall)):
                 continue
@@ -1140,10 +1091,7 @@ class ProfileReader:
                 },
             )
             slot["n_samples"] += 1
-            if event["kind"] == PROFILE_KIND:
-                slot["weight_s"] += self._sample_weight(wall)
-            else:
-                slot["weight_s"] += float(wall.get("tottime_s", 0.0) or 0.0)
+            slot["weight_s"] += self._sample_weight(wall)
 
         def order(slot: dict[str, Any]) -> tuple[int, str]:
             return (0 if slot["role"] == "coordinator" else 1, slot["pid"])
@@ -1153,11 +1101,7 @@ class ProfileReader:
     # -- flamegraph export -------------------------------------------------
 
     def collapsed(self, span: str | None = None) -> dict[str, float]:
-        """Collapsed stacks: ``"frame;frame;frame" -> weight``.
-
-        Sampling mode only — deterministic cProfile rows carry no stacks,
-        so they collapse to nothing (callers should check :attr:`mode`).
-        """
+        """Collapsed stacks: ``"frame;frame;frame" -> weight``."""
         out: dict[str, float] = {}
         for event in self.samples:
             wall = event.get("wall", {})
@@ -1178,15 +1122,8 @@ class ProfileReader:
 
         One ``stack count`` line per unique stack; counts are sample
         counts scaled back out of the weights, so the file stays valid
-        for tooling that expects integers.  Deterministic-mode streams
-        carry no stacks, so asking them for a flamegraph is an error,
-        not an empty file.
+        for tooling that expects integers.
         """
-        if self.stats and not self.samples:
-            raise TraceError(
-                "deterministic profiles carry no stacks — record with "
-                "'--profile' (sampling mode) for a flamegraph"
-            )
         lines = []
         for label, weight in sorted(self.collapsed(span).items()):
             count = max(1, round(weight / DEFAULT_FLAME_UNIT_S))
@@ -1204,7 +1141,6 @@ class ProfileReader:
             "mode": self.mode,
             "truncated": self.truncated,
             "n_samples": self.n_samples,
-            "n_stat_rows": len(self.stats),
             "total_weight_s": total,
             "spans": self.spans(),
             "processes": self.processes(),
@@ -1233,8 +1169,6 @@ def render_hotspots(
     head.add_row(["source", profile.source or "(in-memory)"])
     head.add_row(["mode", profile.mode])
     head.add_row(["samples", profile.n_samples])
-    if profile.stats:
-        head.add_row(["stat rows", len(profile.stats)])
     head.add_row(["truncated tail", profile.truncated])
     if span is not None:
         head.add_row(["span filter", span])
@@ -1243,8 +1177,7 @@ def render_hotspots(
     if profile.mode == "empty":
         blocks.append(
             "no profile ticks landed — the run finished inside one sampling "
-            "interval; lower the interval (--profile 0.001) or use "
-            "--profile deterministic"
+            "interval; lower the interval (--profile 0.001)"
         )
         return "\n\n".join(blocks)
 

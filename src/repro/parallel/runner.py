@@ -60,7 +60,6 @@ from repro.utils.rng import spawn_children
 __all__ = ["pmap", "resolve_workers"]
 
 _DISABLE_ENV = "REPRO_PARALLEL_DISABLE"
-_SENTINEL = object()
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -77,8 +76,12 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _invoke(fn: Callable[..., Any], config: Any, seed: Any) -> Any:
-    """Run one cell (module-level so it can be pickled to a worker)."""
-    if seed is _SENTINEL or seed is None:
+    """Run one cell (module-level so it can be pickled to a worker).
+
+    ``None`` is the "no seed" marker: it survives pickling to a worker,
+    where a sentinel object would arrive as a different object.
+    """
+    if seed is None:
         return fn(config)
     return fn(config, seed)
 
@@ -177,7 +180,7 @@ def pmap(
     if n == 0:
         return []
     if seeds is None:
-        cell_seeds: list[Any] = [_SENTINEL] * n
+        cell_seeds: list[Any] = [None] * n
     elif isinstance(seeds, int):
         cell_seeds = list(spawn_children(seeds, n))
     else:
@@ -199,14 +202,13 @@ def pmap(
         },
     )
 
-    results: list[Any] = [_SENTINEL] * n
+    results: list[Any] = [None] * n
     pending: list[int] = []
     keys: list[str | None] = [None] * n
     if cache is not None:
         fn_salt = salt if salt is not None else code_salt(fn)
         for i in range(n):
-            seed_part = None if cell_seeds[i] is _SENTINEL else cell_seeds[i]
-            keys[i] = cache_key(fn_name, configs[i], seed_part, fn_salt)
+            keys[i] = cache_key(fn_name, configs[i], cell_seeds[i], fn_salt)
             hit, value = cache.get(keys[i])
             if hit:
                 results[i] = value
@@ -279,8 +281,7 @@ def pmap(
         # Per-cell events are replayed in submission order whatever the
         # completion order was — the determinism contract of the stream.
         for i in pending:
-            seed_part = None if cell_seeds[i] is _SENTINEL else cell_seeds[i]
-            obs.emit("cell_start", payload={"index": i, "seed": seed_part})
+            obs.emit("cell_start", payload={"index": i, "seed": cell_seeds[i]})
             obs.emit(
                 "cell_finish",
                 payload={"index": i},

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.nn.conv import Conv1D, Conv2D, GlobalAveragePool, GlobalMaxPool, MaxPool2D
 from repro.nn.kernels import ScratchCache, backend, cached_einsum, use_naive
 from repro.nn.layers import Dense, Dropout, Flatten, Parameter
@@ -174,7 +175,11 @@ def _train(workers):
 def test_fit_workers_bit_identical():
     """workers=1 and workers=4 must produce bit-identical training."""
     h1, s1 = _train(workers=1)
-    h4, s4 = _train(workers=4)
+    with obs.capture_events() as events:
+        h4, s4 = _train(workers=4)
+    # The data-parallel steps really ran in a pool, not the serial fallback.
+    modes = {e["wall"]["mode"] for e in events if e["kind"] == "pmap_finish"}
+    assert modes == {"pool"}
     assert h1.loss == h4.loss
     assert h1.accuracy == h4.accuracy
     assert set(s1) == set(s4)

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.parallel import (
     ResultCache,
     Sweep,
@@ -88,6 +89,15 @@ class TestPmap:
     def test_seed_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="seeds"):
             pmap(seeded_cell, ["x", "y"], [1])
+
+    def test_unseeded_call_runs_in_the_pool(self):
+        """The "no seed" marker must survive pickling to a worker."""
+        with obs.capture_events() as events:
+            out = pmap(double_cell, [1, 2, 3, 4], workers=2)
+        assert out == pmap(double_cell, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        (finish,) = [e for e in events if e["kind"] == "pmap_finish"]
+        assert finish["wall"]["mode"] == "pool"
+        assert finish["wall"]["fallback"] is None
 
     def test_unpicklable_fn_falls_back_to_serial(self):
         bound = 3

@@ -1,7 +1,7 @@
-"""repro.obs.profile end to end: the sampling and deterministic writers,
-worker-side attach, the ProfileReader hotspot/flamegraph read side, the
-determinism contract (profiled runs byte-identical to bare ones), the
-hotspot baseline gate, and the `repro profile` CLI.
+"""repro.obs.profile end to end: the sampling writer, worker-side
+attach, the ProfileReader hotspot/flamegraph read side, the determinism
+contract (profiled runs byte-identical to bare ones), and the
+`repro profile` CLI.
 """
 
 import json
@@ -14,12 +14,6 @@ import pytest
 from repro import obs
 from repro.api import RunRequest, canonical_results_bytes, execute_request
 from repro.exp.cli import main
-from repro.obs.baseline import (
-    DEFAULT_SHARE_TOLERANCE,
-    HOTSPOT_TOP_K,
-    BaselineStore,
-    HotspotBaseline,
-)
 from repro.obs.events import VOLATILE_KINDS, EventLog
 from repro.obs.profile import (
     DEFAULT_INTERVAL_S,
@@ -28,8 +22,6 @@ from repro.obs.profile import (
     PROFILE_KIND,
     PROFILE_LOG_NAME,
     PROFILE_SPAN_ENV,
-    STAT_KIND,
-    DeterministicProfiler,
     SamplingProfiler,
     attach_worker_profiler,
     capture_stack,
@@ -74,9 +66,6 @@ class TestResolveProfile:
     def test_sampling_aliases_use_the_default_cadence(self, value):
         assert resolve_profile(value) == ("sampling", DEFAULT_INTERVAL_S)
 
-    def test_deterministic_mode(self):
-        assert resolve_profile("deterministic") == ("deterministic", 0.0)
-
     def test_float_is_a_sampling_interval(self):
         assert resolve_profile("0.002") == ("sampling", 0.002)
         assert resolve_profile(0.25) == ("sampling", 0.25)
@@ -88,6 +77,16 @@ class TestResolveProfile:
     def test_env_var_is_the_fallback(self, monkeypatch):
         monkeypatch.setenv(PROFILE_ENV, "0.05")
         assert resolve_profile(None) == ("sampling", 0.05)
+
+    @pytest.mark.parametrize("value", ["deterministic", "bogus", "1e-3s"])
+    def test_unknown_value_is_an_error_naming_it(self, value):
+        with pytest.raises(ValueError, match=value):
+            resolve_profile(value)
+
+    def test_unknown_env_value_is_an_error_naming_it(self, monkeypatch):
+        monkeypatch.setenv(PROFILE_ENV, "deterministic")
+        with pytest.raises(ValueError, match=f"{PROFILE_ENV}.*deterministic"):
+            resolve_profile(None)
 
     def test_kill_switch_wins_over_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DISABLE", "1")
@@ -158,28 +157,6 @@ class TestSamplingProfiler:
             SamplingProfiler(0.0, log=EventLog())
 
 
-class TestDeterministicProfiler:
-    def test_stat_rows_name_the_busy_function(self):
-        log = EventLog()
-        profiler = DeterministicProfiler(log)
-        with profiler.profile("E7"):
-            spin(0.05)
-        assert log.records
-        assert {r["kind"] for r in log.records} == {STAT_KIND}
-        assert {r["wall"]["span"] for r in log.records} == {"E7"}
-        by_func = {r["wall"]["func"]: r["wall"] for r in log.records}
-        assert "spin" in by_func
-        assert by_func["spin"]["ncalls"] >= 1
-        assert by_func["spin"]["cumtime_s"] >= by_func["spin"]["tottime_s"] >= 0
-
-    def test_rows_are_sorted_by_self_time_descending(self):
-        log = EventLog()
-        with DeterministicProfiler(log).profile("X"):
-            spin(0.05)
-        tottimes = [r["wall"]["tottime_s"] for r in log.records]
-        assert tottimes == sorted(tottimes, reverse=True)
-
-
 class TestWorkerAttach:
     def test_noop_without_a_published_file(self, monkeypatch):
         monkeypatch.delenv(PROFILE_FILE_ENV, raising=False)
@@ -219,6 +196,32 @@ class TestWorkerAttach:
         assert {r["wall"]["role"] for r in records} == {"worker"}
         # pmap stamped the enclosing span before the pool forked.
         assert {r["wall"]["span"] for r in records} == {"E2"}
+
+
+    def test_execute_request_publishes_the_stream_to_pool_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """A profiled run with a pool samples coordinator and workers into
+        one profile.jsonl, then restores the profile environment."""
+        monkeypatch.setenv(PROFILE_ENV, "0.5")
+        monkeypatch.delenv(PROFILE_FILE_ENV, raising=False)
+        monkeypatch.setenv(PROFILE_SPAN_ENV, "caller")
+        summary = execute_request(
+            RunRequest(ids=("E10",), smoke=True, cache=False, workers=2,
+                       profile="0.001"),
+            out_dir=tmp_path / "run",
+        )
+        pools = [
+            r["wall"] for r in obs.read_events(summary.out_dir / "events.jsonl")
+            if r["kind"] == "pmap_finish"
+        ]
+        assert pools and {w["mode"] for w in pools} == {"pool"}
+        samples = ProfileReader.load(summary.out_dir).samples
+        assert {r["wall"]["role"] for r in samples} == {"coordinator", "worker"}
+        assert {r["wall"]["interval_s"] for r in samples} == {0.001}
+        assert os.environ[PROFILE_ENV] == "0.5"
+        assert PROFILE_FILE_ENV not in os.environ
+        assert os.environ[PROFILE_SPAN_ENV] == "caller"
 
 
 class TestProfileReader:
@@ -268,11 +271,6 @@ class TestProfileReader:
         only_e2 = reader.hotspots(span="E2")
         assert {h.key for h in only_e2} == {"exp/cli.py:main"}
 
-    def test_shares_sum_to_one_per_span(self):
-        shares = self.make_reader().shares(span="E1")
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["nn/kernels.py:gemm"] == pytest.approx(0.5)
-
     def test_per_process_split(self):
         procs = self.make_reader().processes()
         roles = {f"{p['role']}:{p['pid']}": p["n_samples"] for p in procs}
@@ -289,23 +287,6 @@ class TestProfileReader:
             assert int(count) >= 1
             assert ";" in stack_part or "main" in stack_part
         assert "gemm (nn/kernels.py:10)" in flame
-
-    def test_flamegraph_requires_stacks(self):
-        stat = {
-            "schema": obs.SCHEMA_VERSION, "seq": 0, "kind": STAT_KIND,
-            "ts": 0.0, "payload": {},
-            "wall": {"pid": 1, "role": "coordinator", "span": "E1",
-                     "func": "f", "file": "m.py", "line": 1, "ncalls": 3,
-                     "tottime_s": 0.5, "cumtime_s": 0.9},
-        }
-        reader = ProfileReader([stat])
-        assert reader.mode == "deterministic"
-        with pytest.raises(TraceError):
-            reader.flamegraph()
-        # ...but hotspot tables still work from stat rows.
-        (hotspot,) = reader.hotspots()
-        assert hotspot.key == "m.py:f"
-        assert hotspot.self_weight == pytest.approx(0.5)
 
     def test_missing_stream_is_a_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="--profile"):
@@ -375,13 +356,13 @@ class TestDeterminismContract:
             ids=("T1",), smoke=True, profile="sampling"
         ).digest()
         assert bare.digest() == RunRequest(
-            ids=("T1",), smoke=True, profile="deterministic"
+            ids=("T1",), smoke=True, profile="0.002"
         ).digest()
 
     def test_strip_samples_drops_all_volatile_kinds(self):
         mixed = [
             {"kind": "run_start"}, {"kind": PROFILE_KIND},
-            {"kind": STAT_KIND}, {"kind": "resource_sample"},
+            {"kind": "resource_sample"},
             {"kind": "run_finish"},
         ]
         assert [r["kind"] for r in strip_samples(mixed)] == [
@@ -389,87 +370,14 @@ class TestDeterminismContract:
         ]
 
 
-class TestHotspotBaseline:
-    def test_record_keeps_only_the_top_k_shares(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        shares = {f"m.py:f{i}": (10 - i) / 100 for i in range(10)}
-        kept = HotspotBaseline(store).record("smoke", "E1", shares)
-        assert len(kept) == HOTSPOT_TOP_K
-        assert max(shares.values()) in kept.values()
-
-    def test_round_trips_through_save_and_load(self, tmp_path):
-        path = tmp_path / "b.json"
-        store = BaselineStore.load(path)
-        store.record("smoke", "E1", [0.5])  # timing and hotspots coexist
-        HotspotBaseline(store).record("smoke", "E1", {"m.py:f": 0.6})
-        store.save()
-        reloaded = BaselineStore.load(path)
-        assert HotspotBaseline(reloaded).entries("smoke")["E1"] == {
-            "m.py:f": 0.6
-        }
-        assert reloaded.compare("smoke", {"E1": [0.5]}).passed
-
-    def test_grown_share_past_tolerance_is_a_regression(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        hotspots = HotspotBaseline(store)
-        hotspots.record("smoke", "E1", {"m.py:f": 0.30, "m.py:g": 0.20})
-        grown = 0.30 + DEFAULT_SHARE_TOLERANCE + 0.05
-        report = hotspots.compare(
-            "smoke", {"E1": {"m.py:f": grown, "m.py:g": 0.18}}
-        )
-        assert not report.passed
-        (regression,) = report.regressions
-        assert regression.function == "m.py:f"
-        assert regression.delta == pytest.approx(grown - 0.30)
-        statuses = {c.function: c.status for c in report.comparisons}
-        assert statuses["m.py:g"] == "ok"
-
-    def test_within_tolerance_and_improvements_pass(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        hotspots = HotspotBaseline(store)
-        hotspots.record("smoke", "E1", {"m.py:f": 0.40, "m.py:g": 0.30})
-        report = hotspots.compare(
-            "smoke", {"E1": {"m.py:f": 0.45, "m.py:g": 0.05}}
-        )
-        assert report.passed
-        statuses = {c.function: c.status for c in report.comparisons}
-        assert statuses["m.py:f"] == "ok"        # +5pp is inside +-10pp
-        assert statuses["m.py:g"] == "improved"  # -25pp
-
-    def test_unbaselined_experiment_is_new_not_a_failure(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        report = HotspotBaseline(store).compare(
-            "smoke", {"E9": {"m.py:f": 0.9}}
-        )
-        assert report.passed
-        assert {c.status for c in report.comparisons} == {"new"}
-
-    def test_vanished_function_reports_missing(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        hotspots = HotspotBaseline(store)
-        hotspots.record("smoke", "E1", {"m.py:f": 0.5})
-        report = hotspots.compare("smoke", {"E1": {"m.py:other": 0.5}})
-        assert report.passed  # a vanished hotspot is information, not failure
-        statuses = {c.function: c.status for c in report.comparisons}
-        assert statuses["m.py:f"] == "missing"
-
-    def test_table_renders_deltas_in_percentage_points(self, tmp_path):
-        store = BaselineStore.load(tmp_path / "b.json")
-        hotspots = HotspotBaseline(store)
-        hotspots.record("smoke", "E1", {"m.py:f": 0.30})
-        text = hotspots.compare("smoke", {"E1": {"m.py:f": 0.50}}).to_table()
-        assert "hotspot gate" in text
-        assert "+20.0pp" in text
-
-
 class TestProfileCli:
     @pytest.fixture()
     def profiled_run(self, tmp_path):
-        """A real (deterministic-mode) profiled smoke run on disk."""
+        """A real profiled smoke run on disk, long enough to catch samples."""
         out = tmp_path / "run"
         assert main([
-            "run", "T1", "--smoke", "--no-cache",
-            "--out", str(out), "--profile", "deterministic",
+            "run", "E6", "--smoke", "--no-cache",
+            "--out", str(out), "--profile", "0.001",
         ]) == 0
         return out
 
@@ -477,26 +385,38 @@ class TestProfileCli:
         capsys.readouterr()
         assert (profiled_run / PROFILE_LOG_NAME).exists()
         records = obs.read_events(profiled_run / PROFILE_LOG_NAME)
-        assert records and {r["kind"] for r in records} == {STAT_KIND}
-        assert {r["wall"]["span"] for r in records} == {"T1"}
+        assert records and {r["kind"] for r in records} == {PROFILE_KIND}
+        spans = {r["wall"]["span"] for r in records}
+        assert any(s == "E6" or s.startswith("E6/") for s in spans)
+        # Ticks that land before E6's span opens carry the empty path.
+        assert all(s in ("", "E6") or s.startswith("E6/") for s in spans)
 
     def test_profile_command_renders_the_table(self, profiled_run, capsys):
         assert main(["profile", str(profiled_run), "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "deterministic" in out
+        assert "sampling" in out
         assert "self s" in out
 
     def test_profile_json_document(self, profiled_run, capsys):
         assert main(["profile", str(profiled_run), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["mode"] == "deterministic"
+        assert doc["mode"] == "sampling"
         assert doc["hotspots"]
 
-    def test_flamegraph_of_a_deterministic_run_exits_2(
-        self, profiled_run, capsys
-    ):
-        assert main(["profile", str(profiled_run), "--flamegraph"]) == 2
-        assert "stack" in capsys.readouterr().err
+    def test_unknown_profile_value_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "T1", "--smoke", "--out", str(tmp_path / "r"),
+                  "--profile", "bogus"])
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["report", "check", "bench"])
+    def test_profile_is_a_run_only_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "T1", "--smoke", "--profile"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_flamegraph_of_a_sampling_stream(self, tmp_path, capsys):
         log = EventLog(tmp_path / PROFILE_LOG_NAME)
@@ -536,37 +456,3 @@ class TestProfileCli:
         assert main(["trace", str(out)]) == 2
         err = capsys.readouterr().err
         assert "telemetry was disabled" in err
-
-
-class TestBenchHotspotGate:
-    def _bench(self, argv):
-        return main(["bench", "T1", "--smoke", "--no-cache",
-                     "--repeats", "1", "--profile", "deterministic"] + argv)
-
-    def test_record_then_gate_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_baselines.json"
-        assert self._bench(["--record", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "hotspot profiles" in out
-        doc = json.loads(baseline.read_text())
-        assert "T1" in doc["hotspots"]["smoke"]
-        assert len(doc["hotspots"]["smoke"]["T1"]) <= HOTSPOT_TOP_K
-        report_out = tmp_path / "report.json"
-        assert self._bench([
-            "--against", str(baseline), "--threshold", "10.0",
-            "--json", str(report_out),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "hotspot gate" in out and "PASS" in out
-        report = json.loads(report_out.read_text())
-        assert report["hotspots"]["comparisons"]
-
-    def test_unprofiled_bench_has_no_hotspot_section(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        assert main(["bench", "T1", "--smoke", "--no-cache", "--repeats",
-                     "1", "--record", str(baseline)]) == 0
-        doc = json.loads(baseline.read_text())
-        assert "T1" not in doc.get("hotspots", {}).get("smoke", {})
-        assert main(["bench", "T1", "--smoke", "--no-cache", "--repeats",
-                     "1", "--against", str(baseline)]) == 0
-        assert "hotspot gate" not in capsys.readouterr().out
