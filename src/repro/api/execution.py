@@ -153,6 +153,7 @@ def execute_request(
     if ctx is None:
         ctx = trace_context.new_context(request.digest())
     previous_log: Any = None
+    run_log: obs.EventLog | None = None
     sampler: ResourceSampler | None = None
     profiler: SamplingProfiler | None = None
     profile_log: obs.EventLog | None = None
@@ -240,10 +241,13 @@ def execute_request(
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-        if profile_log is not None:
-            profile_log.close()
         if out_path is not None:
             obs.configure(previous_log)
+        # Closed only once nothing can emit into them: a serve worker
+        # would otherwise keep one descriptor per run it ever executed.
+        for log in (run_log, profile_log):
+            if log is not None:
+                log.close()
     summary = RunSummary(
         records, request.smoke, out_path, manifest, trace=ctx.as_dict()
     )

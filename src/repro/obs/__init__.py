@@ -15,6 +15,10 @@ Write side — three coordinated instruments, all no-ops until switched on:
   Prometheus exposition-format exporter
   (:mod:`repro.obs.prometheus`).
 
+All four JSONL streams (``events.jsonl``, ``profile.jsonl``, the serve
+``access.jsonl`` and ``runs_index.jsonl``) share one append/read contract,
+:class:`repro.obs.stream.JsonlStream`.
+
 Read side — what the streams are *for*:
 
 * **Trace analytics** (:mod:`repro.obs.trace`) — :class:`TraceReader`

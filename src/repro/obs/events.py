@@ -39,17 +39,14 @@ Environment knobs
     Set to ``1`` to silence every emit, including explicitly configured
     loggers — the kill switch.
 
-Reading the stream back needs three lines of stdlib::
-
-    import json
-    with open("obs/events.jsonl") as fh:
-        events = [json.loads(line) for line in fh]
+The file is a :class:`repro.obs.stream.JsonlStream` (one ``os.write`` per
+line, no rotation); :func:`read_events` reads it back under the strict
+rule, dropping a torn final line.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import threading
 import time
@@ -58,6 +55,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.obs import context as _trace_context
+from repro.obs.stream import JsonlStream, TraceError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,6 +69,8 @@ __all__ = [
     "capture_events",
     "read_events",
     "strip_volatile",
+    "disabled",
+    "TraceError",
 ]
 
 SCHEMA_VERSION = 1
@@ -110,17 +110,13 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def append_line(fd: int, data: bytes, path: str | os.PathLike) -> None:
-    """Append one whole record with a single ``os.write``.
+def disabled() -> bool:
+    """True while the ``REPRO_OBS_DISABLE=1`` kill switch is set.
 
-    A short write (full disk, quota) would leave a torn line that later
-    appends bury mid-file, so it raises :class:`OSError` naming *path*.
+    The one place the switch is parsed: events, the profiler and the
+    serve access log all defer to it.
     """
-    written = os.write(fd, data)
-    if written != len(data):
-        raise OSError(
-            f"short write to {os.fspath(path)}: {written} of {len(data)} bytes"
-        )
+    return os.environ.get(_DISABLE_ENV, "") == "1"
 
 
 class EventLog:
@@ -130,10 +126,7 @@ class EventLog:
     ----------
     path:
         File to append to (parent directories are created).  ``None``
-        keeps events in memory only.
-    capture:
-        Keep an in-memory copy in :attr:`records` even when writing to a
-        file.  Always on for path-less logs.
+        keeps events in memory only, in :attr:`records`.
     trace:
         A :class:`repro.obs.context.TraceContext` pinned to this log:
         every record it writes carries the trace's ids, regardless of
@@ -142,10 +135,8 @@ class EventLog:
         emitting thread's bound context (:func:`repro.obs.context.current`)
         is stamped when one exists.
 
-    Appends are a single ``os.write`` to an ``O_APPEND`` descriptor, so a
-    record is written atomically: concurrent writers may interleave
-    *lines*, never bytes within a line.  A short write raises
-    :class:`OSError`.
+    A file-backed log appends through a :class:`JsonlStream`, so a record
+    is one atomic line and a short write raises :class:`OSError`.
 
     Examples
     --------
@@ -159,28 +150,20 @@ class EventLog:
         self,
         path: str | os.PathLike | None = None,
         *,
-        capture: bool = False,
         trace: Any = None,
     ) -> None:
         self.path = Path(path) if path is not None else None
-        self.capture = bool(capture) or self.path is None
         self.trace = trace
         self.records: list[dict[str, Any]] = []
+        self._stream = (
+            None if self.path is None
+            else JsonlStream(self.path, default=_jsonable)
+        )
         self._seq = 0
-        self._fd: int | None = None
         # Emits must be safe from helper threads too: the resource
         # sampler (repro.obs.resources) shares a run's log with the
         # coordinating thread, and seq assignment must never race.
         self._lock = threading.Lock()
-
-    def _descriptor(self) -> int:
-        if self._fd is None:
-            assert self.path is not None
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
 
     def emit(
         self,
@@ -202,18 +185,17 @@ class EventLog:
             if trace is not None:
                 record["trace"] = trace.as_dict()
             self._seq += 1
-            if self.capture:
+            if self._stream is None:
                 self.records.append(record)
-            if self.path is not None:
-                line = json.dumps(record, sort_keys=True, default=_jsonable) + "\n"
-                append_line(self._descriptor(), line.encode(), self.path)
+            else:
+                self._stream.append(record)
             return record
 
     def close(self) -> None:
         """Release the file descriptor (subsequent emits reopen it)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        with self._lock:
+            if self._stream is not None:
+                self._stream.close()
 
     def __len__(self) -> int:
         return self._seq
@@ -254,7 +236,7 @@ def get_logger() -> EventLog | None:
     ``REPRO_OBS_DIR`` enables a shared file logger, otherwise telemetry
     is a no-op.
     """
-    if os.environ.get(_DISABLE_ENV, "") == "1":
+    if disabled():
         return None
     if _active is not _UNSET:
         return _active
@@ -360,47 +342,13 @@ def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
         configure(previous)
 
 
-class TraceError(ValueError):
-    """The event stream is unreadable: corrupt record or unknown schema."""
-
-
-def _parse_stream(text: str) -> tuple[list[dict[str, Any]], bool]:
-    """Parse JSONL text into records, tolerating one truncated final line."""
-    lines = text.splitlines()
-    last_content = -1
-    for index, line in enumerate(lines):
-        if line.strip():
-            last_content = index
-    records: list[dict[str, Any]] = []
-    truncated = False
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if index == last_content:
-                truncated = True
-                break
-            raise TraceError(
-                f"corrupt event record on line {index + 1}: {exc.msg}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise TraceError(
-                f"event record on line {index + 1} is not a JSON object"
-            )
-        records.append(record)
-    return records, truncated
-
-
 def read_events(path: str | os.PathLike) -> list[dict[str, Any]]:
     """Parse a JSONL event file back into record dicts.
 
     A torn final line (a writer killed mid-append) is dropped; a corrupt
     interior record raises :class:`TraceError`.
     """
-    records, _ = _parse_stream(Path(path).read_text(encoding="utf-8"))
+    records, _ = JsonlStream(path).read()
     return records
 
 

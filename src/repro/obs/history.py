@@ -38,7 +38,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.events import append_line
+from repro.obs.stream import JsonlStream
 from repro.utils.tables import Table
 
 __all__ = [
@@ -329,44 +329,26 @@ class RunRegistry:
     # -- index persistence -------------------------------------------------
 
     def _load_index(self) -> dict[str, RunRecord]:
-        """Indexed records, last line per run id winning (append-only)."""
+        """Indexed records, last line per run id winning (append-only).
+
+        Torn, corrupt and foreign-schema lines are skipped, not fatal.
+        """
         records: dict[str, RunRecord] = {}
-        if not self.index_path.is_file():
-            return records
-        with open(self.index_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records_raw = json.loads(line)
-                    record = RunRecord.from_dict(records_raw)
-                except (json.JSONDecodeError, HistoryError, KeyError):
-                    # A torn final line (concurrent writer) or a
-                    # foreign-schema record: skip rather than refuse the
-                    # whole history.
-                    continue
-                records[record.run_id] = record
+        for raw in JsonlStream(self.index_path).poll():
+            try:
+                record = RunRecord.from_dict(raw)
+            except (HistoryError, KeyError):
+                continue
+            records[record.run_id] = record
         return records
 
     def _append(self, records: Iterable[RunRecord]) -> None:
-        lines = [
-            json.dumps(record.as_dict(), sort_keys=True) + "\n"
-            for record in records
-        ]
-        if not lines:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # One O_APPEND write per record: concurrent scanners may
-        # interleave lines but never tear one (same contract as EventLog).
-        fd = os.open(
-            self.index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        stream = JsonlStream(self.index_path)
         try:
-            for line in lines:
-                append_line(fd, line.encode(), self.index_path)
+            for record in records:
+                stream.append(record.as_dict())
         finally:
-            os.close(fd)
+            stream.close()
 
     # -- discovery ---------------------------------------------------------
 

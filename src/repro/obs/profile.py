@@ -28,8 +28,9 @@ append to it directly: the coordinator publishes the profile file via
 ``REPRO_OBS_PROFILE_FILE`` (and the enclosing span path via
 ``REPRO_OBS_PROFILE_SPAN`` at pool-creation time), and the pool
 initializer calls :func:`attach_worker_profiler` to start a sampler
-inside each worker.  Appends are atomic lines (O_APPEND), so any number
-of processes share one ``profile.jsonl``.
+inside each worker.  Appends are atomic lines
+(:class:`repro.obs.stream.JsonlStream`), so any number of processes share
+one ``profile.jsonl``.
 
 Determinism contract
 --------------------
@@ -56,7 +57,7 @@ import sys
 import threading
 from typing import Any, Callable
 
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, disabled
 from repro.obs.spans import current_span_path
 
 __all__ = [
@@ -92,8 +93,6 @@ PROFILE_FILE_ENV = "REPRO_OBS_PROFILE_FILE"
 #: The span path open at pool-creation time, stamped on worker samples.
 PROFILE_SPAN_ENV = "REPRO_OBS_PROFILE_SPAN"
 
-_DISABLE_ENV = "REPRO_OBS_DISABLE"
-
 
 def resolve_profile(value: Any = None) -> tuple[str, float] | None:
     """Normalize a profile knob to ``(mode, interval_s)`` or ``None`` (off).
@@ -122,7 +121,7 @@ def resolve_profile(value: Any = None) -> tuple[str, float] | None:
                 f"{name} must be 'sampling' or an interval in seconds, "
                 f"got {value!r}"
             ) from None
-    if not interval > 0 or os.environ.get(_DISABLE_ENV, "") == "1":
+    if not interval > 0 or disabled():
         return None
     return ("sampling", interval)
 

@@ -26,22 +26,25 @@ serve root's ``access.jsonl`` (:mod:`repro.serve.access`) to its run
 directories on ``trace_id``, powering ``repro trace --serve`` and the
 ``repro serve-report`` fleet aggregates.
 
-Loading is deliberately forgiving in exactly one way: a truncated final
-line (the writer died mid-record) is dropped and flagged, because an
-append-only log's last record is the only one that can legally be torn.
-Everything else — a corrupt interior line, an unknown schema version — is
-a hard :class:`TraceError`, never a silent skip.
+Every reader loads with :meth:`repro.obs.stream.JsonlStream.read`, which
+is forgiving in exactly one way: a truncated final line (the writer died
+mid-record) is dropped and flagged, because an append-only log's last
+record is the only one that can legally be torn.  Everything else — a
+corrupt interior line, an unknown schema version — is a hard
+:class:`TraceError`, never a silent skip.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
-from repro.obs.events import SCHEMA_VERSION, TraceError, _parse_stream
+from repro.obs.events import SCHEMA_VERSION
 from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME
+from repro.obs.stream import JsonlStream, TraceError
 from repro.utils.tables import Table
 
 __all__ = [
@@ -343,7 +346,47 @@ def _validate(records: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
     return out
 
 
-class TraceReader:
+_Reader = TypeVar("_Reader", bound="_RunStreamReader")
+
+
+class _RunStreamReader:
+    """Load and validate one run stream: ``events.jsonl`` or ``profile.jsonl``."""
+
+    #: The stream's file name inside a run directory.
+    STREAM = ""
+    #: The reader's "no stream" message; ``{path}`` is filled in.
+    MISSING = ""
+
+    def __init__(
+        self,
+        records: Sequence[Mapping[str, Any]],
+        *,
+        truncated: bool = False,
+        source: str | None = None,
+    ) -> None:
+        self.events = _validate(records)
+        self.truncated = truncated
+        self.source = source
+
+    @classmethod
+    def load(cls: type[_Reader], source: str | os.PathLike) -> _Reader:
+        """Read the stream from a file path or the run directory holding it."""
+        stream = JsonlStream(source, name=cls.STREAM)
+        try:
+            records, truncated = stream.read()
+        except FileNotFoundError:
+            raise TraceError(cls.MISSING.format(path=stream.path)) from None
+        return cls(records, truncated=truncated, source=str(stream.path))
+
+    @classmethod
+    def from_records(
+        cls: type[_Reader], records: Sequence[Mapping[str, Any]]
+    ) -> _Reader:
+        """Wrap already-parsed records (validated the same way)."""
+        return cls(records)
+
+
+class TraceReader(_RunStreamReader):
     """Load one event stream and derive run analytics from it.
 
     Construct with :meth:`load` (a path to ``events.jsonl`` or to the run
@@ -364,34 +407,8 @@ class TraceReader:
     ['outer', 'outer/inner']
     """
 
-    def __init__(
-        self,
-        records: Sequence[Mapping[str, Any]],
-        *,
-        truncated: bool = False,
-        source: str | None = None,
-    ) -> None:
-        self.events = _validate(records)
-        self.truncated = truncated
-        self.source = source
-
-    @classmethod
-    def load(cls, source: str | os.PathLike) -> "TraceReader":
-        """Read ``events.jsonl`` from a file path or a run directory."""
-        path = Path(source)
-        if path.is_dir():
-            path = path / "events.jsonl"
-        if not path.exists():
-            raise TraceError(f"no event stream at {path}")
-        records, truncated = _parse_stream(path.read_text(encoding="utf-8"))
-        return cls(records, truncated=truncated, source=str(path))
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[Mapping[str, Any]]
-    ) -> "TraceReader":
-        """Wrap already-parsed event dicts (validated the same way)."""
-        return cls(records)
+    STREAM = "events.jsonl"
+    MISSING = "no event stream at {path}"
 
     def __len__(self) -> int:
         return len(self.events)
@@ -934,7 +951,7 @@ class Hotspot:
         }
 
 
-class ProfileReader:
+class ProfileReader(_RunStreamReader):
     """Load one ``profile.jsonl`` stream and derive hotspot analytics.
 
     Construct with :meth:`load` (a path to ``profile.jsonl`` or to the
@@ -948,38 +965,15 @@ class ProfileReader:
     one experiment's whole subtree aggregates naturally.
     """
 
-    def __init__(
-        self,
-        records: Sequence[Mapping[str, Any]],
-        *,
-        truncated: bool = False,
-        source: str | None = None,
-    ) -> None:
-        self.events = _validate(records)
-        self.truncated = truncated
-        self.source = source
-        self.samples = [e for e in self.events if e["kind"] == PROFILE_KIND]
+    STREAM = PROFILE_LOG_NAME
+    MISSING = (
+        "no profile stream at {path} — record one with "
+        "'repro run ... --profile'"
+    )
 
-    @classmethod
-    def load(cls, source: str | os.PathLike) -> "ProfileReader":
-        """Read ``profile.jsonl`` from a file path or a run directory."""
-        path = Path(source)
-        if path.is_dir():
-            path = path / PROFILE_LOG_NAME
-        if not path.exists():
-            raise TraceError(
-                f"no profile stream at {path} — record one with "
-                "'repro run ... --profile'"
-            )
-        records, truncated = _parse_stream(path.read_text(encoding="utf-8"))
-        return cls(records, truncated=truncated, source=str(path))
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[Mapping[str, Any]]
-    ) -> "ProfileReader":
-        """Wrap already-parsed profile records (validated the same way)."""
-        return cls(records)
+    @cached_property
+    def samples(self) -> list[dict[str, Any]]:
+        return [e for e in self.events if e["kind"] == PROFILE_KIND]
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -1274,34 +1268,15 @@ class ServeTraceIndex:
 
     @classmethod
     def load(cls, source: str | os.PathLike) -> "ServeTraceIndex":
-        """Read ``access.jsonl`` from a serve root directory or file path.
-
-        A rotated segment (``access.jsonl.1``, produced by the write
-        side's size-threshold rotation) is read first when present, so
-        stitching and fleet aggregates span the rotation boundary.
-        Rotation happens between whole-line appends, which is why the
-        rotated segment can be parsed with the same one-torn-tail
-        tolerance as a live stream.
-        """
-        path = Path(source)
-        if path.is_dir():
-            path = path / ACCESS_LOG_NAME
-        rotated = path.with_name(path.name + ".1")
-        records: list[dict[str, Any]] = []
-        truncated = False
-        if rotated.exists():
-            segment, torn = _parse_stream(rotated.read_text(encoding="utf-8"))
-            records.extend(segment)
-            truncated = truncated or torn
-        if path.exists():
-            segment, torn = _parse_stream(path.read_text(encoding="utf-8"))
-            records.extend(segment)
-            truncated = truncated or torn
-        elif not records:
-            raise TraceError(f"no access log at {path}")
-        return cls(
-            records, root=path.parent, truncated=truncated, source=str(path)
-        )
+        """Read ``access.jsonl`` (``.1`` segment first) from a serve root
+        directory or file path."""
+        stream = JsonlStream(source, name=ACCESS_LOG_NAME)
+        try:
+            records, truncated = stream.read()
+        except FileNotFoundError:
+            raise TraceError(f"no access log at {stream.path}") from None
+        return cls(records, root=stream.path.parent, truncated=truncated,
+                   source=str(stream.path))
 
     def __len__(self) -> int:
         return len(self.requests) + len(self.terminals)

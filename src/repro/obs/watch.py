@@ -16,13 +16,14 @@ process — the normal use is ``repro run … --out DIR`` in one terminal and
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Mapping
+
+from repro.obs.stream import JsonlStream
 
 __all__ = [
     "EventFollower",
@@ -38,48 +39,19 @@ _ANSI_HOME_CLEAR = "\x1b[H\x1b[J"
 _BAR_WIDTH = 28
 
 
-class EventFollower:
-    """Incremental JSONL tailer with torn-final-line tolerance.
+class EventFollower(JsonlStream):
+    """Incremental tailer of a run's ``events.jsonl``.
 
-    Bytes are read from the last offset on every :meth:`poll`; a partial
-    trailing line (the writer is mid-append) stays buffered until its
-    newline arrives, so a record is either delivered whole or not yet.
-    Complete lines that fail to parse are counted in :attr:`n_corrupt`
-    rather than raised — a live view should degrade, not die.
+    A directory means the ``events.jsonl`` inside it.  Each
+    :meth:`~repro.obs.stream.JsonlStream.poll` returns the records
+    appended since the previous one: a partial trailing line (the writer
+    is mid-append) stays buffered until its newline arrives, and complete
+    lines that fail to parse are counted in :attr:`n_corrupt` rather than
+    raised — a live view should degrade, not die.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
-        path = Path(path)
-        if path.is_dir():
-            path = path / "events.jsonl"
-        self.path = path
-        self.n_corrupt = 0
-        self._offset = 0
-        self._buffer = b""
-
-    def poll(self) -> list[dict[str, Any]]:
-        """Every complete record appended since the previous poll."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-                self._offset = fh.tell()
-        except OSError:
-            return []
-        self._buffer += chunk
-        records: list[dict[str, Any]] = []
-        while b"\n" in self._buffer:
-            line, self._buffer = self._buffer.split(b"\n", 1)
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.n_corrupt += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        super().__init__(path, name="events.jsonl")
 
 
 @dataclass

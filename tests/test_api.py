@@ -2,6 +2,7 @@
 determinism projection the served/CLI bit-identity check rests on."""
 
 import json
+import os
 
 import pytest
 
@@ -194,6 +195,23 @@ class TestCatalogFacade:
         via_runner = execute_request(request)
         assert (canonical_results_bytes(via_api.as_dict())
                 == canonical_results_bytes(via_runner.as_dict()))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_runs_with_an_out_dir_leave_no_descriptor_open(fake, tmp_path, monkeypatch):
+    # A serve worker executes runs in-process for its whole life: each
+    # run's events.jsonl descriptor must be released when the run ends.
+    monkeypatch.delenv("REPRO_OBS_DISABLE", raising=False)
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+    request = RunRequest(ids=("ZZAPI",), cache=False)
+    execute_request(request, out_dir=tmp_path / "warm")
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(5):
+        execute_request(request, out_dir=tmp_path / f"run-{i}")
+        assert (tmp_path / f"run-{i}" / "events.jsonl").stat().st_size > 0
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestInlineBackend:
