@@ -427,7 +427,10 @@ def canonical_results(document: Mapping[str, Any]) -> dict[str, Any]:
 
     Drops the run-level ``timings`` map and each experiment's ``seconds``
     / ``wall_s``, and masks values matching the experiment's declared
-    ``volatile_values`` globs.  What remains is the deterministic half —
+    ``volatile_values`` globs.  An experiment that declares volatile
+    values also has each verdict check's ``observed`` masked, since a
+    check may quote a measured figure; its ``claim`` and ``passed`` stay
+    in the comparison.  What remains is the deterministic half —
     identical for any two runs of the same :class:`RunRequest` on the
     same code, whether executed by the CLI or by a server worker.
     """
@@ -437,8 +440,13 @@ def canonical_results(document: Mapping[str, Any]) -> dict[str, Any]:
         for fld in _WALL_CLOCK_FIELDS:
             entry.pop(fld, None)
         globs = tuple(str(g) for g in entry.get("volatile_values", ()))
-        if globs and "values" in entry:
+        if not globs:
+            continue
+        if "values" in entry:
             entry["values"] = _mask_volatile(entry["values"], globs)
+        for check in (entry.get("verdict") or {}).get("checks", ()):
+            if "observed" in check:
+                check["observed"] = _VOLATILE_MASK
     return doc
 
 

@@ -61,7 +61,8 @@ exposes over HTTP — so CLI and service behavior cannot drift.
 Shared options: ``--smoke`` selects each experiment's CI-scale config
 tier; ``--seeds N`` overrides the trial-seed count where an experiment
 has one; ``--workers N`` and ``--no-cache`` flow to every
-:mod:`repro.parallel` call; ``--json OUT`` writes the machine-readable
+:mod:`repro.parallel` call (without ``--workers``, a call goes from
+serial to a pool of the usable CPUs once its cells have taken ~0.25 s); ``--json OUT`` writes the machine-readable
 results/verdicts.  Two options belong to ``repro run`` alone, because
 they write into its run directory: ``--sample-resources [SEC]`` starts
 the :class:`repro.obs.resources.ResourceSampler` for the run, and
@@ -139,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=int, default=None, metavar="N",
                        help="override the trial-seed count where supported")
         p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="process-pool size for repro.parallel calls")
+                       help="process-pool size for repro.parallel calls "
+                            "(1: serial).  Omitted, each call runs its cells "
+                            "serially until it has spent ~0.25 s, then on a "
+                            "pool of the usable CPUs")
         p.add_argument("--no-cache", action="store_true",
                        help="disable the content-addressed result cache")
         p.add_argument("--json", dest="json_out", metavar="OUT",

@@ -25,6 +25,14 @@ boundary (closures, lambdas), or ``REPRO_PARALLEL_DISABLE=1`` is set, the
 runner falls back to the serial path — same results, one process — and
 records the reason in the run's telemetry.
 
+``workers=None`` is the automatic mode.  Cells run serially in this
+process until the call has spent :data:`POOL_AFTER_S` of cell time; if
+two or more cells are still left then, the rest go to a pool of
+``min(usable CPUs, cells left)`` workers.  A pool costs tens of
+milliseconds to start, so calls made of millisecond cells never pay for
+one, and a call whose cells prove long gets every core.  Pool workers
+exit on their own when the process that started them dies.
+
 Telemetry
 ---------
 Every ``pmap`` call narrates itself through :mod:`repro.obs`:
@@ -45,6 +53,7 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -57,22 +66,41 @@ from repro.parallel.cache import ResultCache, cache_key, code_salt
 from repro.utils import blas
 from repro.utils.rng import spawn_children
 
-__all__ = ["pmap", "resolve_workers"]
+__all__ = ["POOL_AFTER_S", "pmap", "resolve_workers", "visible_cpus"]
 
 _DISABLE_ENV = "REPRO_PARALLEL_DISABLE"
+
+#: Serial cell time after which an automatic (``workers=None``) call
+#: hands its remaining cells to a pool: about five times the 35–57 ms a
+#: pool takes to start after a full catalog import on a 2-vCPU host.
+POOL_AFTER_S = 0.25
+
+#: How often a pool worker checks that the process that started it lives.
+_ORPHAN_POLL_S = 0.2
+
+
+def visible_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
 
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument to an effective worker count.
 
     ``None``/``0``/``1`` mean serial; the ``REPRO_PARALLEL_DISABLE=1``
-    kill switch forces serial regardless of the argument.
+    kill switch forces serial regardless of the argument.  (:func:`pmap`
+    reads ``None`` as its automatic mode before it gets here.)
     """
-    if workers is None or workers <= 1:
-        return 1
-    if os.environ.get(_DISABLE_ENV, "") == "1":
+    if workers is None or workers <= 1 or _disabled():
         return 1
     return int(workers)
+
+
+def _disabled() -> bool:
+    return os.environ.get(_DISABLE_ENV, "") == "1"
 
 
 def _invoke(fn: Callable[..., Any], config: Any, seed: Any) -> Any:
@@ -102,7 +130,18 @@ def _invoke_timed(
     return value, os.getpid(), time.perf_counter() - start
 
 
-def _worker_init() -> None:
+def _exit_with_parent(parent_pid: int) -> None:
+    """End this worker once ``parent_pid`` is no longer its parent.
+
+    A parent killed by a signal never shuts its pool down, and an idle
+    worker would otherwise block on the call queue forever.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _worker_init(parent_pid: int) -> None:
     """Pool initializer: silence telemetry and pin BLAS to one thread.
 
     A forked worker inherits a running request's pin; a spawned one would
@@ -115,10 +154,17 @@ def _worker_init() -> None:
     construction (it never touches ``events.jsonl``), so when the
     coordinator published a profile file this worker self-samples into
     it — coordinators cannot capture another process's Python stacks.
+
+    A daemon thread watches ``parent_pid`` and ends the worker when the
+    coordinator dies without shutting the pool down.
     """
     os.environ["REPRO_OBS_DISABLE"] = "1"
     blas.pin_process()
     obs_profile.attach_worker_profiler()
+    threading.Thread(
+        target=_exit_with_parent, args=(parent_pid,),
+        name="repro-pool-orphan-watch", daemon=True,
+    ).start()
 
 
 def _describe(fn: Callable[..., Any]) -> str:
@@ -137,6 +183,42 @@ def _picklable(*values: Any) -> bool:
         return True
     except Exception:
         return False
+
+
+def _run_pool(
+    fn: Callable[..., Any],
+    configs: Sequence[Any],
+    cell_seeds: Sequence[Any],
+    indices: Sequence[int],
+    n_workers: int,
+) -> dict[int, tuple[Any, int, float]]:
+    """Run the ``indices`` cells on a fresh pool: ``{i: (value, pid, dur_s)}``.
+
+    Raises what the pool raises; the caller falls back to the serial path.
+    """
+    if os.environ.get(obs_profile.PROFILE_FILE_ENV):
+        # Workers inherit env at fork: stamp the span path enclosing this
+        # pmap call so their profile samples attribute to the right
+        # region of the run.
+        os.environ[obs_profile.PROFILE_SPAN_ENV] = obs.current_span_path()
+    with ProcessPoolExecutor(
+        max_workers=n_workers, initializer=_worker_init,
+        initargs=(os.getpid(),),
+    ) as pool:
+        futures = {
+            i: pool.submit(_invoke_timed, fn, configs[i], cell_seeds[i])
+            for i in indices
+        }
+        # The submit loop spawned the pool's processes, so their pids
+        # exist now; publish them for the lifetime of the gather so an
+        # active ResourceSampler can attribute RSS/CPU to individual
+        # workers.
+        roster = tuple(sorted(getattr(pool, "_processes", None) or ()))
+        obs_resources.note_worker_pids(roster)
+        try:
+            return {i: future.result() for i, future in futures.items()}
+        finally:
+            obs_resources.forget_worker_pids(roster)
 
 
 def pmap(
@@ -164,7 +246,10 @@ def pmap(
         :func:`spawn_children` — the same children regardless of
         ``workers``, so results are reproducible under any worker count.
     workers:
-        Process count; ``None``/``1`` runs serially in this process.
+        Process count.  ``1`` (or ``0``) runs serially in this process;
+        ``N`` runs on a pool of ``N`` from the first cell.  ``None`` runs
+        cells serially until the call has spent :data:`POOL_AFTER_S`
+        (~0.25 s), then the rest on a pool of the usable CPUs.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely, and
         fresh results are stored after execution.
@@ -222,62 +307,54 @@ def pmap(
     mode = "cached"
     fallback: str | None = None
     n_workers = 1
+    serial_cells = 0
     if pending:
-        n_workers = resolve_workers(workers)
-        executed: dict[int, Any] | None = None
+        executed: dict[int, Any] = {}
         durations: dict[int, float] = {}
         cell_pids: dict[int, int] = {}
-        if n_workers > 1 and len(pending) > 1 and _picklable(
-            fn, *(configs[i] for i in pending[:1])
-        ):
+        own_pid = os.getpid()
+
+        def run_here(i: int) -> None:
+            cell_start = time.perf_counter()
+            with obs.quiet():
+                executed[i] = _invoke(fn, configs[i], cell_seeds[i])
+            durations[i] = time.perf_counter() - cell_start
+            cell_pids[i] = own_pid
+
+        ran_here = 0
+        if workers is not None:
+            n_workers = resolve_workers(workers)
+        elif not _disabled() and (cpus := visible_cpus()) > 1:
+            # Automatic mode: pay for a pool only once this call's cells
+            # have proven long enough to amortise one.
+            spent = 0.0
+            while len(pending) - ran_here > 1 and spent < POOL_AFTER_S:
+                run_here(pending[ran_here])
+                spent += durations[pending[ran_here]]
+                ran_here += 1
+            if len(pending) - ran_here > 1:
+                n_workers = min(cpus, len(pending) - ran_here)
+        todo = pending[ran_here:]
+        pooled: dict[int, tuple[Any, int, float]] | None = None
+        if n_workers > 1 and len(todo) > 1 and _picklable(fn, configs[todo[0]]):
             try:
-                if os.environ.get(obs_profile.PROFILE_FILE_ENV):
-                    # Workers inherit env at fork: stamp the span path
-                    # enclosing this pmap call so their profile samples
-                    # attribute to the right region of the run.
-                    os.environ[obs_profile.PROFILE_SPAN_ENV] = (
-                        obs.current_span_path()
-                    )
-                with ProcessPoolExecutor(
-                    max_workers=n_workers, initializer=_worker_init
-                ) as pool:
-                    futures = {
-                        i: pool.submit(
-                            _invoke_timed, fn, configs[i], cell_seeds[i]
-                        )
-                        for i in pending
-                    }
-                    # The submit loop spawned the pool's processes, so
-                    # their pids exist now; publish them for the lifetime
-                    # of the gather so an active ResourceSampler can
-                    # attribute RSS/CPU to individual workers.
-                    roster = tuple(sorted(getattr(pool, "_processes", None) or ()))
-                    obs_resources.note_worker_pids(roster)
-                    try:
-                        executed = {}
-                        for i, future in futures.items():
-                            executed[i], cell_pids[i], durations[i] = future.result()
-                    finally:
-                        obs_resources.forget_worker_pids(roster)
-                mode = "pool"
+                pooled = _run_pool(fn, configs, cell_seeds, todo, n_workers)
             except (BrokenProcessPool, pickle.PicklingError, TypeError, AttributeError) as exc:
                 # Pool-level failure (unpicklable payload, dead worker):
                 # fall through to the serial path, which by the determinism
                 # contract produces the identical results.
-                executed = None
                 fallback = type(exc).__name__
         elif n_workers > 1:
-            fallback = "unpicklable" if len(pending) > 1 else "single_cell"
-        if executed is None:
+            fallback = "unpicklable" if len(todo) > 1 else "single_cell"
+        if pooled is not None:
+            mode = "pool"
+            for i in todo:
+                executed[i], cell_pids[i], durations[i] = pooled[i]
+        else:
             mode = "serial"
-            executed = {}
-            own_pid = os.getpid()
-            for i in pending:
-                cell_start = time.perf_counter()
-                with obs.quiet():
-                    executed[i] = _invoke(fn, configs[i], cell_seeds[i])
-                durations[i] = time.perf_counter() - cell_start
-                cell_pids[i] = own_pid
+            for i in todo:
+                run_here(i)
+        serial_cells = ran_here if pooled is not None else len(pending)
         # Per-cell events are replayed in submission order whatever the
         # completion order was — the determinism contract of the stream.
         for i in pending:
@@ -285,7 +362,7 @@ def pmap(
             obs.emit(
                 "cell_finish",
                 payload={"index": i},
-                wall={"dur_s": durations.get(i, 0.0), "pid": cell_pids.get(i)},
+                wall={"dur_s": durations[i], "pid": cell_pids[i]},
             )
         for i, value in executed.items():
             results[i] = value
@@ -307,6 +384,7 @@ def pmap(
             "workers": n_workers,
             "mode": mode,
             "fallback": fallback,
+            "serial_cells": serial_cells,
         },
     )
     metrics = obs.get_metrics()

@@ -9,7 +9,6 @@ timing assertions and is a shim over this module.
 
 from __future__ import annotations
 
-import os
 import tempfile
 import time
 
@@ -18,19 +17,13 @@ import numpy as np
 from repro.exp.registry import Experiment, register
 from repro.exp.result import Block, Check, ExpResult, Verdict
 from repro.parallel.cache import ResultCache
+from repro.parallel.runner import visible_cpus
 from repro.parallel.sweep import Sweep, grid
 from repro.robuststats.contamination import ContaminationModel, contaminated_gaussian
 from repro.robuststats.estimators import filter_mean, sample_mean
 from repro.utils.tables import Table
 
 __all__ = ["robust_cell", "make_sweep", "p2_determinism", "p2_cache_rerun", "visible_cpus"]
-
-
-def visible_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def robust_cell(dim, eps, seed):

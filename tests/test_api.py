@@ -179,6 +179,27 @@ class TestCanonicalResults:
         canonical_results(self.DOC)
         assert json.dumps(self.DOC, sort_keys=True) == before
 
+    def test_volatile_experiments_mask_verdict_observations(self):
+        doc = json.loads(json.dumps(self.DOC))
+        check = {"claim": "speedup > 10x", "observed": 245.0, "passed": True}
+        doc["experiments"][0]["verdict"] = {"passed": True, "checks": [check]}
+        stable = json.loads(json.dumps(doc))
+        del stable["experiments"][0]["volatile_values"]
+        (entry,) = canonical_results(doc)["experiments"]
+        assert entry["verdict"]["checks"] == [
+            {"claim": "speedup > 10x", "observed": "<volatile>", "passed": True}
+        ]
+        # Experiments without volatile values keep their observations.
+        (kept,) = canonical_results(stable)["experiments"]
+        assert kept["verdict"]["checks"] == [check]
+
+        slower = json.loads(json.dumps(doc))
+        slower["experiments"][0]["verdict"]["checks"][0]["observed"] = 64.0
+        assert canonical_results_bytes(doc) == canonical_results_bytes(slower)
+        flipped = json.loads(json.dumps(slower))
+        flipped["experiments"][0]["verdict"]["checks"][0]["passed"] = False
+        assert canonical_results_bytes(doc) != canonical_results_bytes(flipped)
+
 
 class TestCatalogFacade:
     def test_describe_experiments_covers_the_catalog(self):

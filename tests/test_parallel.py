@@ -2,11 +2,18 @@
 
 import os
 import pickle
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.parallel import runner
 from repro.parallel import (
     ResultCache,
     Sweep,
@@ -38,6 +45,23 @@ def sweep_cell(x, y, seed):
 
 def unseeded_sweep_cell(x):
     return x + 1
+
+
+def sleepy_cell(config):
+    time.sleep(config)
+    return config * 2
+
+
+@pytest.fixture
+def eager_auto(monkeypatch):
+    """``workers=None`` hands every call to a 2-worker pool at once."""
+    monkeypatch.setattr(runner, "POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "visible_cpus", lambda: 2)
+
+
+def _finish(events):
+    (finish,) = [e for e in events if e["kind"] == "pmap_finish"]
+    return finish["wall"]
 
 
 class TestSpawnChildren:
@@ -77,10 +101,11 @@ class TestPmap:
         expected = [seeded_cell("a", seeds[0]), seeded_cell("b", seeds[1])]
         assert out == expected
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, eager_auto):
         serial = pmap(seeded_cell, list(range(6)), 0, workers=1)
         parallel = pmap(seeded_cell, list(range(6)), 0, workers=4)
-        assert serial == parallel
+        auto = pmap(seeded_cell, list(range(6)), 0)
+        assert serial == parallel == auto
 
     def test_explicit_seed_list(self):
         out = pmap(seeded_cell, ["x", "y"], [5, 5])
@@ -113,6 +138,142 @@ class TestPmap:
         assert resolve_workers(None) == 1
         assert resolve_workers(0) == 1
         assert resolve_workers(1) == 1
+
+
+class TestAutoWorkers:
+    """``workers=None``: serial until a call proves long, then a pool."""
+
+    def test_long_call_hands_the_rest_to_a_pool(self, monkeypatch):
+        monkeypatch.setattr(runner, "POOL_AFTER_S", 0.1)
+        monkeypatch.setattr(runner, "visible_cpus", lambda: 2)
+        # The budget runs out during the second cell, whatever the host's
+        # sleep overshoot.
+        durations = [0.0, 0.2, 0.01, 0.01, 0.01, 0.01]
+        with obs.capture_events() as events:
+            out = pmap(sleepy_cell, durations)
+        assert out == [2 * d for d in durations]
+        wall = _finish(events)
+        assert wall["mode"] == "pool" and wall["fallback"] is None
+        assert wall["serial_cells"] == 2 and wall["workers"] == 2
+        pids = [e["wall"]["pid"] for e in events if e["kind"] == "cell_finish"]
+        assert pids[:2] == [os.getpid()] * 2
+        assert os.getpid() not in pids[2:]
+
+    def test_millisecond_cells_never_start_a_pool(self, monkeypatch):
+        monkeypatch.setattr(runner, "visible_cpus", lambda: 2)
+        with obs.capture_events() as events:
+            assert pmap(double_cell, list(range(50))) == [2 * c for c in range(50)]
+        wall = _finish(events)
+        assert wall["mode"] == "serial" and wall["fallback"] is None
+        assert wall["serial_cells"] == 50 and wall["workers"] == 1
+        assert obs.get_metrics().counter("pmap.serial_fallbacks").value == 0
+
+    def test_kill_switch_keeps_a_long_call_serial(self, eager_auto, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_DISABLE", "1")
+        with obs.capture_events() as events:
+            assert pmap(sleepy_cell, [0.01] * 4) == [0.02] * 4
+        wall = _finish(events)
+        assert wall["mode"] == "serial" and wall["workers"] == 1
+        assert wall["fallback"] is None
+
+    def test_one_usable_cpu_keeps_a_long_call_serial(self, monkeypatch):
+        monkeypatch.setattr(runner, "POOL_AFTER_S", 0.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with obs.capture_events() as events:
+            assert pmap(sleepy_cell, [0.01] * 4) == [0.02] * 4
+        wall = _finish(events)
+        assert wall["mode"] == "serial" and wall["workers"] == 1
+
+    def test_explicit_one_worker_stays_serial(self, eager_auto):
+        with obs.capture_events() as events:
+            pmap(sleepy_cell, [0.01] * 4, workers=1)
+        assert _finish(events)["mode"] == "serial"
+
+    def test_reliability_study_identical_at_auto_and_one_worker(self, eager_auto):
+        from repro.rl.agents import DQNConfig
+        from repro.rl.reliability import ReliabilityStudyConfig, reliability_study
+
+        cfg = ReliabilityStudyConfig(
+            env_names=("catch",), families=("cnn",),
+            dqn=DQNConfig(episodes=3, epsilon_decay_episodes=2,
+                          warmup_transitions=8, batch_size=8),
+            size=4, eval_episodes=2,
+        )
+        seeds = spawn_children(0, 2)
+        with obs.capture_events() as events:
+            auto = reliability_study(cfg, seeds=seeds, cache=False)
+        serial = reliability_study(cfg, seeds=seeds, workers=1, cache=False)
+        assert _finish(events)["mode"] == "pool"
+        assert auto.reports == serial.reports
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro.parallel import pmap
+
+def cell(config):
+    print(os.getpid(), flush=True)
+    time.sleep(config)
+
+pmap(cell, [60.0] * 2, workers=2)
+"""
+
+
+def _pid_gone(pid):
+    """True once ``pid`` no longer runs (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+
+def _read_lines(stream, n, timeout_s):
+    """The first ``n`` lines a child writes, or fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    buf = b""
+    while buf.count(b"\n") < n:
+        left = deadline - time.monotonic()
+        assert left > 0 and select.select([stream], [], [], left)[0], (
+            f"child wrote {buf!r} in {timeout_s} s"
+        )
+        chunk = os.read(stream.fileno(), 4096)
+        assert chunk, f"child closed its stdout after {buf!r}"
+        buf += chunk
+    return buf.decode().splitlines()[:n]
+
+
+def test_pool_workers_exit_when_their_parent_is_killed():
+    src = str(Path(runner.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], stdout=subprocess.PIPE, env=env,
+    )
+    pids = []
+    try:
+        pids = [int(line) for line in _read_lines(parent.stdout, 2, 30.0)]
+        assert parent.pid not in pids
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline and not all(map(_pid_gone, pids)):
+            time.sleep(0.05)
+        assert all(map(_pid_gone, pids)), f"pool workers outlived their parent: {pids}"
+    finally:
+        parent.kill()
+        parent.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
 
 
 class TestResultCache:
@@ -272,16 +433,17 @@ class TestTiming:
 class TestStudyDeterminism:
     """The ISSUE's headline contract: worker count never changes science."""
 
-    def test_robuststats_sweep_identical_across_workers(self):
+    def test_robuststats_sweep_identical_across_workers(self, eager_auto):
         from repro.robuststats import DimensionSweepConfig, dimension_sweep
 
         cfg = DimensionSweepConfig(dims=(5, 10), min_samples=40)
         seeds = spawn_children(0, 2)
         serial = dimension_sweep(cfg, seeds=seeds, workers=1, cache=False)
-        parallel = dimension_sweep(cfg, seeds=seeds, workers=4, cache=False)
-        assert serial.errors.keys() == parallel.errors.keys()
-        for name in serial.errors:
-            np.testing.assert_array_equal(serial.errors[name], parallel.errors[name])
+        for workers in (4, None):
+            parallel = dimension_sweep(cfg, seeds=seeds, workers=workers, cache=False)
+            assert serial.errors.keys() == parallel.errors.keys()
+            for name in serial.errors:
+                np.testing.assert_array_equal(serial.errors[name], parallel.errors[name])
 
     def test_robuststats_cached_rerun_identical_with_zero_executions(self, tmp_path):
         from repro.robuststats import DimensionSweepConfig, dimension_sweep
@@ -297,7 +459,7 @@ class TestStudyDeterminism:
         for name in cold.errors:
             np.testing.assert_array_equal(cold.errors[name], warm.errors[name])
 
-    def test_autotuner_identical_across_workers(self):
+    def test_autotuner_identical_across_workers(self, eager_auto):
         from repro.autotune import (
             CostModel,
             GeneticTuner,
@@ -310,17 +472,20 @@ class TestStudyDeterminism:
 
         cm = CostModel(A100_LIKE, n_workers=108)
         kernel = matmul_kernel(128, 128, 128)
-        serial = GeneticTuner(cm, TVM_LIKE, population=8, generations=2, seed=4).tune(kernel)
-        parallel = GeneticTuner(
-            cm, TVM_LIKE, population=8, generations=2, seed=4, workers=4
+        serial = GeneticTuner(
+            cm, TVM_LIKE, population=8, generations=2, seed=4, workers=1
         ).tune(kernel)
-        assert serial == parallel
         rs_cfg = RandomSearchConfig(kernel, cm, TVM_LIKE, n_trials=24)
-        rs_serial = random_search(rs_cfg, seeds=[4]).per_seed[0]
-        rs_parallel = random_search(rs_cfg, seeds=[4], workers=4).per_seed[0]
-        assert rs_serial == rs_parallel
+        rs_serial = random_search(rs_cfg, seeds=[4], workers=1).per_seed[0]
+        for workers in (4, None):
+            parallel = GeneticTuner(
+                cm, TVM_LIKE, population=8, generations=2, seed=4, workers=workers
+            ).tune(kernel)
+            assert serial == parallel
+            rs_parallel = random_search(rs_cfg, seeds=[4], workers=workers).per_seed[0]
+            assert rs_serial == rs_parallel
 
-    def test_kfold_identical_across_workers(self):
+    def test_kfold_identical_across_workers(self, eager_auto):
         from repro.histopath import make_patches, train_model
         from repro.histopath.crossval import KFoldConfig, kfold_evaluate
 
@@ -331,5 +496,5 @@ class TestStudyDeterminism:
 
         cfg = KFoldConfig(dataset, train, n_folds=2)
         serial = kfold_evaluate(cfg, seeds=[0], workers=1).scores[0]
-        parallel = kfold_evaluate(cfg, seeds=[0], workers=4).scores[0]
-        assert serial == parallel
+        assert serial == kfold_evaluate(cfg, seeds=[0], workers=4).scores[0]
+        assert serial == kfold_evaluate(cfg, seeds=[0]).scores[0]
