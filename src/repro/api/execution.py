@@ -131,8 +131,8 @@ def execute_request(
     """Run one :class:`RunRequest`; returns its :class:`RunSummary`.
 
     When ``out_dir`` is given the run writes ``events.jsonl``,
-    ``manifest.json``, and ``results.json`` beneath it; telemetry routing
-    is restored to its previous sink afterwards.  A positive
+    ``manifest.json``, and ``results.json`` beneath it; the calling
+    thread's telemetry routing is restored to its previous sink afterwards.  A positive
     ``request.sample_resources`` (or ``REPRO_OBS_SAMPLE``) starts a
     :class:`ResourceSampler` for the duration of the run.  A
     ``request.profile`` (or ``REPRO_OBS_PROFILE``) attaches the sampling

@@ -3,11 +3,14 @@
 The contention story is told by queue-wait statistics near the deadline:
 mean and p95 wait, deadline misses, and total lateness.  Utilization and
 makespan bound how much a staging policy "pays" for decongestion.
+:func:`contention` serves both R1 (fed the simulator's job records) and
+``repro trace`` (fed the same jobs rebuilt from a run's job events).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -15,11 +18,16 @@ from repro.cluster.jobs import JobRecord, JobState
 
 __all__ = [
     "ScheduleMetrics",
+    "Contention",
     "evaluate_schedule",
+    "contention",
     "wait_percentiles",
     "tail_utilization",
     "fairness_spread",
 ]
+
+#: The "end of program" window: the last quarter of a run's makespan.
+TAIL_WINDOW_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,24 @@ def wait_percentiles(
     }
 
 
+def _tail_busy(
+    spans: Iterable[tuple[float, float, int]], makespan: float,
+    window_frac: float,
+) -> tuple[float, float]:
+    """GPU-hours busy in the last ``window_frac`` of the makespan, and
+    that window's length; ``spans`` are ``(start, end, n_gpus)``."""
+    window_start = makespan * (1.0 - window_frac)
+    busy = 0.0
+    for start, end, n_gpus in spans:
+        overlap = min(end, makespan) - max(start, window_start)
+        if overlap > 0.0:
+            busy += overlap * n_gpus
+    return busy, makespan - window_start
+
+
 def tail_utilization(
-    records: list[JobRecord], n_gpus: int, *, window_frac: float = 0.25
+    records: list[JobRecord], n_gpus: int, *,
+    window_frac: float = TAIL_WINDOW_FRACTION,
 ) -> float:
     """GPU utilization over the last ``window_frac`` of the makespan.
 
@@ -122,16 +146,100 @@ def tail_utilization(
     makespan = max(r.end_time for r in records if r.end_time is not None)
     if makespan <= 0.0:
         return 0.0
-    window_start = makespan * (1.0 - window_frac)
-    window = makespan - window_start
-    busy = 0.0
-    for r in records:
-        if r.start_time is None or r.end_time is None:
-            continue
-        overlap = min(r.end_time, makespan) - max(r.start_time, window_start)
-        if overlap > 0.0:
-            busy += overlap * r.job.n_gpus
+    busy, window = _tail_busy(
+        [
+            (r.start_time, r.end_time, r.job.n_gpus)
+            for r in records
+            if r.start_time is not None and r.end_time is not None
+        ],
+        makespan, window_frac,
+    )
     return busy / (window * n_gpus)
+
+
+@dataclass
+class Contention:
+    """Contention analytics for one simulated cluster run, in simulation
+    hours: a property of the workload and policy, not of the host."""
+
+    policy: str
+    n_gpus: int
+    n_jobs: int
+    makespan: float
+    busy_gpu_hours: float
+    peak_queue_depth: int
+    peak_queue_time: float
+    mean_wait: float
+    p95_wait: float
+    tail_utilization: float  # utilization inside the final window
+    # Reservation churn: how many times the scheduler revoked or pushed
+    # back a held start-time promise (conservative/hybrid backfill under
+    # priority reordering).  Zero for FIFO-ordered disciplines.
+    n_preempts: int = 0
+
+    @property
+    def utilization(self) -> float:
+        capacity = self.n_gpus * self.makespan
+        if capacity <= 0:
+            return 0.0
+        return min(1.0, self.busy_gpu_hours / capacity)
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "policy": self.policy,
+            "n_gpus": self.n_gpus,
+            "n_jobs": self.n_jobs,
+            "makespan": self.makespan,
+            "utilization": self.utilization,
+            "tail_utilization": self.tail_utilization,
+            "peak_queue_depth": self.peak_queue_depth,
+            "peak_queue_time": self.peak_queue_time,
+            "mean_wait": self.mean_wait,
+            "p95_wait": self.p95_wait,
+            "n_preempts": self.n_preempts,
+        }
+
+
+def contention(
+    jobs: Sequence[tuple[float, float | None, float | None, int]],
+    n_gpus: int, *, policy: str, n_preempts: int = 0,
+) -> Contention:
+    """Fold one run's ``(submit, start, end, n_gpus)`` jobs, in ``job_id``
+    order, into :class:`Contention` (``start``/``end`` are ``None`` for a
+    job that never started/finished).  The order fixes the float sums, so
+    callers passing the same jobs get the same bits."""
+    spans = [(s, e, g) for _, s, e, g in jobs if s is not None and e is not None]
+    waits = [s - submit for submit, s, _, _ in jobs if s is not None]
+    makespan = max((e for _, e, _ in spans), default=0.0)
+    # Queue depth: submissions push, starts pop; starts sort first at
+    # equal times so depth never counts a job both queued and running.
+    depth = peak = 0
+    peak_t = 0.0
+    for t, delta in sorted([(job[0], 1) for job in jobs]
+                           + [(s, -1) for _, s, _, _ in jobs if s is not None]):
+        depth += delta
+        if depth > peak:
+            peak, peak_t = depth, t
+    tail_busy, tail_span = _tail_busy(spans, makespan, TAIL_WINDOW_FRACTION)
+    tail_capacity = n_gpus * tail_span
+    return Contention(
+        policy=policy,
+        n_gpus=n_gpus,
+        n_jobs=len(jobs),
+        makespan=makespan,
+        busy_gpu_hours=sum(g * (e - s) for s, e, g in spans),
+        peak_queue_depth=peak,
+        peak_queue_time=peak_t,
+        mean_wait=sum(waits) / len(waits) if waits else 0.0,
+        # Nearest rank: the value is one of the observed waits.
+        p95_wait=(
+            sorted(waits)[round(0.95 * (len(waits) - 1))] if waits else 0.0
+        ),
+        tail_utilization=(
+            min(1.0, tail_busy / tail_capacity) if tail_capacity > 0 else 0.0
+        ),
+        n_preempts=n_preempts,
+    )
 
 
 def fairness_spread(records: list[JobRecord]) -> float:

@@ -98,6 +98,8 @@ class ClusterSimulator:
         self._dispatch_scheduled = False
         self._usage: dict[str, float] = {}  # project -> committed GPU-hours
         self._telemetry = False  # sampled per run()
+        # Reservations revoked or pushed back during the last run().
+        self.n_preempts = 0
 
     @property
     def now(self) -> float:
@@ -209,6 +211,7 @@ class ClusterSimulator:
     def _emit_preempt(self, record: JobRecord, old_start: float,
                       new_start: float | None) -> None:
         """A held reservation was revoked (pushed later or dropped)."""
+        self.n_preempts += 1
         if self._telemetry:
             obs.emit(
                 "job_preempt",
@@ -249,6 +252,7 @@ class ClusterSimulator:
         # of events for large workloads and skipping payload construction
         # when no sink is active is a measurable win.
         self._telemetry = obs.enabled()
+        self.n_preempts = 0
         self._policy.reset()
         obs.emit(
             "cluster_run_start",

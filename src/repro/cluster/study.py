@@ -10,6 +10,7 @@ import time
 
 from repro import obs
 from repro.cluster.metrics import (
+    contention,
     evaluate_schedule,
     fairness_spread,
     tail_utilization,
@@ -29,7 +30,6 @@ from repro.cluster.workload import (
 from repro.exp.registry import Experiment, register
 from repro.exp.reporting import rows_table
 from repro.exp.result import Block, Check, ExpResult, Verdict
-from repro.obs.trace import TraceReader
 
 __all__ = [
     "r1_submission_policies",
@@ -45,34 +45,31 @@ __all__ = [
 def run_policy(times, n_gpus: int = 6, policy="backfill",
                seed: int = 42, projects=None):
     """One season workload under one submission-time plan and discipline."""
-    projects = default_reu_projects() if projects is None else projects
-    jobs = generate_workload(projects, submit_times=times, seed=seed)
-    sim = ClusterSimulator(n_gpus, policy=policy)
-    return evaluate_schedule(sim.run(jobs))
+    return run_policy_traced(times, n_gpus, policy, seed, projects)[0]
 
 
 def run_policy_traced(times, n_gpus: int = 6,
                       policy="backfill", seed: int = 42,
                       projects=None):
-    """Like :func:`run_policy`, plus trace-derived contention analytics.
+    """Like :func:`run_policy`, plus contention analytics.
 
-    The simulator's own ``job_submit``/``job_start``/``job_finish`` events
-    are captured (teed, so a surrounding run's ``events.jsonl`` still
-    receives them) and folded by :class:`repro.obs.trace.TraceReader` into
-    utilization / queue-depth analytics — the same numbers ``repro trace``
-    reports for a recorded run.
+    :func:`repro.cluster.metrics.contention` folds the simulator's job
+    records into utilization / queue-depth analytics.  ``repro trace``
+    applies the same function to the job events of a recorded run, so
+    both report the same numbers, and telemetry being on or off changes
+    neither.
 
-    Returns ``(ScheduleMetrics, ClusterContention)``.
+    Returns ``(ScheduleMetrics, Contention)``.
     """
     projects = default_reu_projects() if projects is None else projects
     jobs = generate_workload(projects, submit_times=times, seed=seed)
     sim = ClusterSimulator(n_gpus, policy=policy)
-    with obs.capture_events(tee=True) as events:
-        records = sim.run(jobs)
-    # Under REPRO_OBS_DISABLE=1 nothing is captured; analytics degrade to
-    # None rather than fail the experiment.
-    runs = TraceReader.from_records(events).cluster_runs()
-    return evaluate_schedule(records), (runs[0] if runs else None)
+    records = sim.run(jobs)
+    return evaluate_schedule(records), contention(
+        [(r.job.submit_time, r.start_time, r.end_time, r.job.n_gpus)
+         for r in records],
+        n_gpus, policy=sim.policy_name, n_preempts=sim.n_preempts,
+    )
 
 
 def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
@@ -80,10 +77,10 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
     """Naive deadline crunch vs uniform vs the paper's staged remedy.
 
     Besides the queue-wait metrics the rendered table shows, each
-    policy's values carry trace-derived contention analytics (GPU
-    utilization, tail-window utilization, peak queue depth) computed from
-    the simulator's own event stream — the numbers ``repro trace``
-    derives for a recorded run.
+    policy's values carry contention analytics (GPU utilization,
+    tail-window utilization, peak queue depth) computed from the
+    simulator's job records — the numbers ``repro trace`` derives from a
+    recorded run's job events.
     """
     projects = default_reu_projects()
     plans = {
@@ -92,9 +89,9 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
         "staged batches": staged_batch_submission(projects),
     }
     metrics = {}
-    contention = {}
+    analytics = {}
     for name, times in plans.items():
-        metrics[name], contention[name] = run_policy_traced(
+        metrics[name], analytics[name] = run_policy_traced(
             times, n_gpus, seed=workload_seed, projects=projects
         )
     return Block(
@@ -104,10 +101,7 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
                    "final_week_wait": float(m.mean_wait_final_week),
                    "missed_deadlines": int(m.missed_deadlines),
                    "total_lateness": float(m.total_lateness),
-                   "contention": (
-                       contention[name].as_dict()
-                       if contention[name] is not None else None
-                   )}
+                   "contention": analytics[name].as_dict()}
             for name, m in metrics.items()
         },
         tables=(

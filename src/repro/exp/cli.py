@@ -29,9 +29,10 @@ Subcommands
     ``--flamegraph`` exports collapsed stacks, ``--json`` the whole
     analysis).
 ``bench <ids|all>``
-    Time experiments (median of ``--repeats``) and either ``--record``
-    the baselines or gate ``--against`` them, exiting non-zero on
-    regression (``--record-missing`` bootstraps absent entries).
+    Time experiments (median of ``--repeats``, cell cache off) and
+    either ``--record`` the baselines or gate ``--against`` them,
+    exiting non-zero on regression (``--record-missing`` bootstraps
+    absent entries).
 ``runs list|diff|flaky``
     Cross-run history via :mod:`repro.obs.history`: list every indexed
     run under ``--root`` (default ``REPRO_RUNS_DIR`` or ``runs/``),
@@ -78,6 +79,7 @@ command are that command's own, not process-lifetime accumulation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -521,11 +523,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _bench_timings(args: argparse.Namespace) -> dict[str, list[float]]:
-    """Median-of-k source data: each repeat's event-derived wall times."""
+    """Median-of-k source data: each repeat's event-derived wall times,
+    with the cell cache off whatever the flags, so no repeat times a
+    cache replay."""
     repeats = max(1, args.repeats)
+    request = dataclasses.replace(_request_from(args), cache=False)
     timings: dict[str, list[float]] = {}
     for _ in range(repeats):
-        summary = _execute(args, out_dir=None)
+        summary = Catalog().execute(request)
         for exp_id, seconds in summary.timings().items():
             timings.setdefault(exp_id, []).append(seconds)
     return timings

@@ -33,8 +33,8 @@ events in submission order regardless of completion order.
 Environment knobs
 -----------------
 ``REPRO_OBS_DIR``
-    When set, the default global logger appends to
-    ``$REPRO_OBS_DIR/events.jsonl``.  Unset means telemetry is a no-op.
+    When set, a thread that has not called :func:`configure` appends
+    to ``$REPRO_OBS_DIR/events.jsonl``.  Unset means telemetry is a no-op.
 ``REPRO_OBS_DISABLE``
     Set to ``1`` to silence every emit, including explicitly configured
     loggers — the kill switch.
@@ -201,35 +201,36 @@ class EventLog:
         return self._seq
 
 
-# The active logger. _UNSET means "resolve from the environment"; None
-# means "explicitly disabled"; an EventLog is used as-is.
+# Telemetry routing, one slot per thread: two runs in two threads each
+# route to their own log and restore their own prior routing.  _UNSET
+# (the slot's initial state) means "resolve from the environment"; None
+# means "off"; an EventLog is used as-is.
 _UNSET = object()
-_active: Any = _UNSET
+_routing = threading.local()
 _env_logs: dict[str, EventLog] = {}
-_quiet_depth = 0
 
 
 def configure(log: EventLog | str | os.PathLike | None) -> Any:
-    """Install the global logger; returns the previously active state.
+    """Route this thread's emits; returns the previous routing.
 
     Accepts an :class:`EventLog`, a path (a log appending there is
     built), or ``None`` to disable telemetry regardless of environment.
     Pass the return value back to ``configure`` to restore the prior
     routing — including "resolve from the environment" when nothing had
     been configured yet (the unset state round-trips, so a temporary
-    swap does not permanently disable env-routed telemetry).
+    swap does not permanently disable env-routed telemetry).  Other
+    threads keep their own routing.
     """
-    global _active
-    previous = _active
+    previous = getattr(_routing, "log", _UNSET)
     if log is None or log is _UNSET or isinstance(log, EventLog):
-        _active = log
+        _routing.log = log
     else:
-        _active = EventLog(log)
+        _routing.log = EventLog(log)
     return previous
 
 
 def get_logger() -> EventLog | None:
-    """The active logger, or ``None`` when telemetry is off.
+    """This thread's logger, or ``None`` when telemetry is off.
 
     Without an explicit :func:`configure`, resolution follows the
     environment on every call (so tests may monkeypatch the knobs):
@@ -238,8 +239,9 @@ def get_logger() -> EventLog | None:
     """
     if disabled():
         return None
-    if _active is not _UNSET:
-        return _active
+    log = getattr(_routing, "log", _UNSET)
+    if log is not _UNSET:
+        return log
     root = os.environ.get(_DIR_ENV, "")
     if not root:
         return None
@@ -255,7 +257,7 @@ def enabled() -> bool:
     as a pre-flight check so they can skip building payload dicts
     entirely when telemetry is off.
     """
-    return _quiet_depth == 0 and get_logger() is not None
+    return get_logger() is not None
 
 
 def emit(
@@ -263,9 +265,7 @@ def emit(
     payload: Mapping[str, Any] | None = None,
     wall: Mapping[str, Any] | None = None,
 ) -> dict[str, Any] | None:
-    """Emit through the global logger; a cheap no-op when telemetry is off."""
-    if _quiet_depth > 0:
-        return None
+    """Emit through this thread's logger; a cheap no-op when telemetry is off."""
     log = get_logger()
     if log is None:
         return None
@@ -274,55 +274,23 @@ def emit(
 
 @contextmanager
 def quiet() -> Iterator[None]:
-    """Suppress global emits inside the block (re-entrant).
+    """Switch this thread's emits off inside the block (re-entrant).
 
     The parallel runner quiesces cell functions with this: a cell's
     interior events cannot be reproduced in canonical order from worker
     processes, so the serial path mutes them too and the runner's own
     per-cell events remain the single record either way.
     """
-    global _quiet_depth
-    _quiet_depth += 1
+    previous = configure(None)
     try:
         yield
     finally:
-        _quiet_depth -= 1
-
-
-class _FanoutLog(EventLog):
-    """Forward every emit to several sinks (used by ``capture_events(tee=)``).
-
-    The first sink's record is returned; each sink keeps its own ``seq``
-    numbering, so teeing into a file-backed log does not disturb that
-    log's sequence.
-    """
-
-    def __init__(self, sinks: tuple[EventLog, ...]) -> None:
-        super().__init__()
-        self._sinks = sinks
-
-    def emit(
-        self,
-        kind: str,
-        payload: Mapping[str, Any] | None = None,
-        wall: Mapping[str, Any] | None = None,
-    ) -> dict[str, Any]:
-        first: dict[str, Any] | None = None
-        for sink in self._sinks:
-            record = sink.emit(kind, payload, wall)
-            if first is None:
-                first = record
-        assert first is not None
-        return first
+        configure(previous)
 
 
 @contextmanager
-def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
-    """Route global emits into a fresh in-memory log for the block.
-
-    With ``tee=True`` emits are *also* forwarded to whatever logger was
-    active before the block (e.g. a run's ``events.jsonl``), so analysis
-    code can observe a sub-stream without stealing it from the run record.
+def capture_events() -> Iterator[list[dict[str, Any]]]:
+    """Route this thread's emits into a fresh in-memory log for the block.
 
     Examples
     --------
@@ -332,10 +300,7 @@ def capture_events(*, tee: bool = False) -> Iterator[list[dict[str, Any]]]:
     ['demo']
     """
     log = EventLog()
-    upstream = get_logger() if tee else None
-    previous = configure(
-        log if upstream is None else _FanoutLog((log, upstream))
-    )
+    previous = configure(log)
     try:
         yield log.records
     finally:

@@ -170,7 +170,7 @@ class SamplingProfiler:
         read side can split hotspots per process.
     span:
         A fixed span path to stamp (workers, whose processes have no
-        bind stack), or ``None`` to read the live
+        bind stack), or ``None`` to read the profiled thread's live
         :func:`current_span_path` at each tick (the coordinator).
 
     The profiled thread is the one that calls :meth:`start`.
@@ -200,7 +200,8 @@ class SamplingProfiler:
         self._log = log
         self.role = str(role)
         self._span: Callable[[], str] = (
-            current_span_path if span is None else (lambda: span)
+            (lambda: current_span_path(self._target_ident))
+            if span is None else (lambda: span)
         )
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

@@ -221,7 +221,7 @@ class ResourceSampler:
     interval_s:
         Seconds between ticks (also recorded in each sample's ``wall``).
     log:
-        Event sink; defaults to the globally active logger at
+        Event sink; defaults to the calling thread's logger at
         :meth:`start` time.  With no active logger the sampler is inert.
 
     The sampler writes through the log directly (not the module-level

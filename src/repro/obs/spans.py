@@ -15,6 +15,7 @@ event-sequence determinism contract and cache keys stay free of timing.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -24,12 +25,18 @@ from repro.obs.metrics import get_metrics
 
 __all__ = ["span", "current_span_path"]
 
-_stack: list[str] = []
+# Open spans, one stack per thread id: a run in another thread must not
+# nest under this thread's spans, and the CPU profiler's sampler thread
+# reads the stack of the thread it profiles.
+_stacks: dict[int, list[str]] = {}
 
 
-def current_span_path() -> str:
-    """The ``/``-joined path of currently open spans ('' at top level)."""
-    return "/".join(_stack)
+def current_span_path(thread_id: int | None = None) -> str:
+    """The ``/``-joined path of open spans ('' at top level) on
+    ``thread_id`` (default: the calling thread)."""
+    if thread_id is None:
+        thread_id = threading.get_ident()
+    return "/".join(_stacks.get(thread_id, ()))
 
 
 @contextmanager
@@ -50,21 +57,25 @@ def span(name: str, **payload: Any) -> Iterator[str]:
     """
     if not name:
         raise ValueError("span name must be non-empty")
-    path = "/".join(_stack + [name])
+    thread_id = threading.get_ident()
+    stack = _stacks.setdefault(thread_id, [])
+    path = "/".join(stack + [name])
     emit(
         "span_start",
-        payload={"span": name, "path": path, "depth": len(_stack), **payload},
+        payload={"span": name, "path": path, "depth": len(stack), **payload},
     )
-    _stack.append(name)
+    stack.append(name)
     start = time.perf_counter()
     try:
         yield path
     finally:
         dur_s = time.perf_counter() - start
-        _stack.pop()
+        stack.pop()
+        if not stack:
+            del _stacks[thread_id]
         emit(
             "span_end",
-            payload={"span": name, "path": path, "depth": len(_stack), **payload},
+            payload={"span": name, "path": path, "depth": len(stack), **payload},
             wall={"dur_s": dur_s},
         )
         get_metrics().timer(f"span.{path}").observe(dur_s)

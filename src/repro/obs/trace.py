@@ -40,12 +40,15 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TypeVar
 
 from repro.obs.events import SCHEMA_VERSION
 from repro.obs.profile import PROFILE_KIND, PROFILE_LOG_NAME
 from repro.obs.stream import JsonlStream, TraceError
 from repro.utils.tables import Table
+
+if TYPE_CHECKING:
+    from repro.cluster.metrics import Contention
 
 __all__ = [
     "ACCESS_LOG_NAME",
@@ -54,7 +57,6 @@ __all__ = [
     "SpanNode",
     "PmapCall",
     "WorkerSlice",
-    "ClusterContention",
     "CacheAttribution",
     "ResourceUsage",
     "Hotspot",
@@ -75,9 +77,6 @@ ACCESS_LOG_NAME = "access.jsonl"
 
 #: A cell counts as a straggler when it runs this many times the median.
 STRAGGLER_FACTOR = 2.0
-
-#: The "end of program" window: the last quarter of a cluster run.
-TAIL_WINDOW_FRACTION = 0.25
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -217,54 +216,6 @@ class PmapCall:
                 }
                 for w in self.worker_slices
             ],
-        }
-
-
-@dataclass
-class ClusterContention:
-    """Contention analytics for one simulated cluster run.
-
-    All times are deterministic *simulation* hours (they ride in event
-    payloads, not the volatile wall section), so these numbers are
-    reproducible across hosts — the trace-side mirror of the paper's
-    staged-collection remedy.
-    """
-
-    policy: str
-    n_gpus: int
-    n_jobs: int
-    makespan: float
-    busy_gpu_hours: float
-    peak_queue_depth: int
-    peak_queue_time: float
-    mean_wait: float
-    p95_wait: float
-    tail_utilization: float  # utilization inside the final window
-    # Reservation churn: how many times the scheduler revoked or pushed
-    # back a held start-time promise (conservative/hybrid backfill under
-    # priority reordering).  Zero for FIFO-ordered disciplines.
-    n_preempts: int = 0
-
-    @property
-    def utilization(self) -> float:
-        capacity = self.n_gpus * self.makespan
-        if capacity <= 0:
-            return 0.0
-        return min(1.0, self.busy_gpu_hours / capacity)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "n_gpus": self.n_gpus,
-            "n_jobs": self.n_jobs,
-            "makespan": self.makespan,
-            "utilization": self.utilization,
-            "tail_utilization": self.tail_utilization,
-            "peak_queue_depth": self.peak_queue_depth,
-            "peak_queue_time": self.peak_queue_time,
-            "mean_wait": self.mean_wait,
-            "p95_wait": self.p95_wait,
-            "n_preempts": self.n_preempts,
         }
 
 
@@ -533,88 +484,48 @@ class TraceReader(_RunStreamReader):
 
     # -- cluster contention ----------------------------------------------
 
-    def cluster_runs(self) -> list[ClusterContention]:
-        """One :class:`ClusterContention` per simulated scheduler run."""
-        runs: list[ClusterContention] = []
+    def cluster_runs(self) -> list[Contention]:
+        """One :class:`~repro.cluster.metrics.Contention` per simulated
+        scheduler run: its jobs, rebuilt from the job events, folded by
+        the same :func:`~repro.cluster.metrics.contention` R1 uses."""
+        from repro.cluster.metrics import contention
+
+        runs = []
         frame: dict[str, Any] | None = None
         for event in self.events:
             kind = event["kind"]
             payload = event.get("payload", {})
             if kind == "cluster_run_start":
                 frame = {
-                    "n_jobs": int(payload.get("n_jobs", 0)),
                     "n_gpus": int(payload.get("n_gpus", 0)),
                     "policy": str(payload.get("policy", "?")),
-                    "gpus_of": {},
-                    "starts": {},
-                    "waits": [],
-                    "intervals": [],
-                    "queue_events": [],  # (t, +1 submit / -1 start)
+                    "submit": {}, "start": {}, "end": {},
                     "n_preempts": 0,
                 }
             elif frame is None:
                 continue
             elif kind == "job_submit":
-                frame["gpus_of"][payload["job_id"]] = int(payload.get("n_gpus", 1))
-                frame["queue_events"].append((float(payload["t"]), 1))
+                frame["submit"][payload["job_id"]] = (
+                    float(payload["t"]), int(payload.get("n_gpus", 1))
+                )
             elif kind == "job_start":
-                frame["starts"][payload["job_id"]] = float(payload["t"])
-                frame["waits"].append(float(payload.get("wait", 0.0)))
-                frame["queue_events"].append((float(payload["t"]), -1))
+                frame["start"][payload["job_id"]] = float(payload["t"])
+            elif kind == "job_finish":
+                frame["end"][payload["job_id"]] = float(payload["t"])
             elif kind == "job_preempt":
                 frame["n_preempts"] += 1
-            elif kind == "job_finish":
-                job_id = payload["job_id"]
-                start = frame["starts"].get(job_id)
-                if start is not None:
-                    frame["intervals"].append(
-                        (start, float(payload["t"]),
-                         frame["gpus_of"].get(job_id, 1))
-                    )
             elif kind == "cluster_run_finish":
-                makespan = float(payload.get("makespan", 0.0))
-                runs.append(self._fold_cluster(frame, makespan))
+                jobs = [
+                    (submit, frame["start"].get(job_id),
+                     frame["end"].get(job_id), gpus)
+                    for job_id, (submit, gpus) in sorted(frame["submit"].items())
+                ]
+                runs.append(contention(
+                    jobs, frame["n_gpus"], policy=frame["policy"],
+                    n_preempts=frame["n_preempts"],
+                ))
                 frame = None
         return runs
-
-    @staticmethod
-    def _fold_cluster(
-        frame: dict[str, Any], makespan: float
-    ) -> ClusterContention:
-        busy = sum(g * (end - start) for start, end, g in frame["intervals"])
-        # Queue depth: submissions push, starts pop; starts sort first at
-        # equal times so depth never counts a job both queued and running.
-        depth = peak = 0
-        peak_t = 0.0
-        for t, delta in sorted(frame["queue_events"], key=lambda e: (e[0], e[1])):
-            depth += delta
-            if depth > peak:
-                peak, peak_t = depth, t
-        window = makespan * (1.0 - TAIL_WINDOW_FRACTION)
-        tail_span = makespan - window
-        tail_busy = sum(
-            g * (min(end, makespan) - max(start, window))
-            for start, end, g in frame["intervals"]
-            if end > window
-        )
-        tail_capacity = frame["n_gpus"] * tail_span
-        return ClusterContention(
-            policy=frame["policy"],
-            n_gpus=frame["n_gpus"],
-            n_jobs=frame["n_jobs"],
-            makespan=makespan,
-            busy_gpu_hours=busy,
-            peak_queue_depth=peak,
-            peak_queue_time=peak_t,
-            mean_wait=(
-                sum(frame["waits"]) / len(frame["waits"]) if frame["waits"] else 0.0
-            ),
-            p95_wait=_percentile(frame["waits"], 0.95),
-            tail_utilization=(
-                min(1.0, tail_busy / tail_capacity) if tail_capacity > 0 else 0.0
-            ),
-            n_preempts=frame["n_preempts"],
-        )
 
     # -- cache attribution ------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro import obs
 from repro.parallel.cache import ResultCache, code_salt
-from repro.parallel.runner import pmap, resolve_workers
+from repro.parallel.runner import pmap
 from repro.utils.rng import spawn_children
 
 __all__ = ["grid", "SweepRecord", "SweepResult", "Sweep"]
@@ -63,7 +63,6 @@ class SweepResult:
 
     records: tuple[SweepRecord, ...]
     wall_s: float
-    workers: int
     n_executed: int
     n_cache_hits: int
     sweep_name: str = ""
@@ -193,12 +192,11 @@ class Sweep:
                 "n_executed": len(records) - n_hits,
                 "n_cache_hits": n_hits,
             },
-            wall={"wall_s": wall_s, "workers": resolve_workers(workers)},
+            wall={"wall_s": wall_s},
         )
         return SweepResult(
             records=records,
             wall_s=wall_s,
-            workers=resolve_workers(workers),
             n_executed=len(records) - n_hits,
             n_cache_hits=n_hits,
             sweep_name=self.name,

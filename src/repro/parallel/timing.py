@@ -25,7 +25,7 @@ class SweepTiming:
     """One timed sweep configuration."""
 
     label: str
-    workers: int
+    workers: int | None  # as requested; ``None`` is pmap's automatic mode
     measurement: Measurement
     result: SweepResult
 
@@ -71,10 +71,12 @@ def time_sweep(
         result = sweep.run(workers=workers, cache=cache)
         samples.append(result.wall_s)
     assert result is not None
-    name = label or f"{sweep.name}[workers={result.workers}]"
+    name = label or (
+        f"{sweep.name}[workers={'auto' if workers is None else workers}]"
+    )
     return SweepTiming(
         label=name,
-        workers=result.workers,
+        workers=workers,
         measurement=_summarize(name, samples),
         result=result,
     )

@@ -3,9 +3,13 @@ determinism projection the served/CLI bit-identity check rests on."""
 
 import json
 import os
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.api import (
     CANCELLED,
     DONE,
@@ -235,6 +239,67 @@ def test_runs_with_an_out_dir_leave_no_descriptor_open(fake, tmp_path, monkeypat
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+def test_runs_in_threads_each_route_to_their_own_log(monkeypatch, tmp_path):
+    # Both runs are inside their experiment at once; the first one
+    # finishes first, so a process-wide routing swap would restore the
+    # sinks out of order and leave a finished run's log installed.
+    monkeypatch.delenv("REPRO_OBS_DISABLE", raising=False)
+    registry.load_all()
+    start_line = threading.Barrier(2, timeout=60)
+    both_inside = threading.Barrier(2, timeout=60)
+    first_done = threading.Event()
+
+    def rendezvous(config, *, workers, cache):
+        both_inside.wait()
+        if threading.current_thread().name == "b":
+            assert first_done.wait(60)
+        result = ExpResult("ZZ", config)
+        result.add("block", Block(values={"x": config["x"]}))
+        return result
+
+    for exp_id in ("ZZA", "ZZB"):
+        exp = _FakeExperiment()
+        exp.id = exp_id
+        exp._run = rendezvous
+        monkeypatch.setitem(registry._REGISTRY, exp_id, exp)
+    errors = []
+
+    def run(exp_id, delay_s):
+        try:
+            start_line.wait()
+            time.sleep(delay_s)
+            execute_request(RunRequest(ids=(exp_id,), cache=False),
+                            out_dir=tmp_path / exp_id)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+            both_inside.abort()
+        finally:
+            if exp_id == "ZZA":
+                first_done.set()
+
+    routing = obs.get_logger()
+    threads = [threading.Thread(target=run, args=("ZZA", 0.0), name="a"),
+               threading.Thread(target=run, args=("ZZB", 0.05), name="b")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert not errors
+    assert obs.get_logger() is routing
+    for exp_id in ("ZZA", "ZZB"):
+        events = obs.read_events(tmp_path / exp_id / "events.jsonl")
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("run_start") == 1 and kinds.count("run_finish") == 1
+        assert {
+            e["payload"]["experiment"] for e in events
+            if e["kind"].startswith("experiment_")
+        } == {exp_id}
+        assert {
+            e["payload"]["path"] for e in events if e["kind"] == "span_start"
+        } == {exp_id}
+
+
 class TestInlineBackend:
     def test_lifecycle_and_cache_hit(self, fake, tmp_path):
         catalog = Catalog(backend=InlineBackend(tmp_path / "runs"))
@@ -298,3 +363,61 @@ class TestRunStatus:
         assert status.wait_s == pytest.approx(0.5)
         again = RunStatus.from_dict(status.as_dict())
         assert again == status
+
+
+# -- knobs that must not change results ---------------------------------------
+
+#: Execution knobs that only observe a run.  Each must leave the
+#: deterministic half of the results document byte-identical.
+_OBSERVER_KNOBS = {
+    "telemetry": {},
+    "obs-disabled": {},
+    "profile": {"profile": 0.01},
+    "sample-resources": {"sample_resources": 0.02},
+}
+_MATRIX_BUDGET_S = 0.2  # smoke median per experiment, BENCH_baselines.json
+
+
+def _matrix_ids() -> tuple[str, ...]:
+    """Every fast smoke experiment without volatile values, plus R1."""
+    registry.load_all()
+    path = Path(__file__).resolve().parent.parent / "BENCH_baselines.json"
+    smoke = json.loads(path.read_text())["tiers"]["smoke"]
+    return tuple(
+        exp.id for exp in registry.all_experiments()
+        if exp.id == "R1" or (
+            not exp.VOLATILE_VALUES
+            and smoke.get(exp.id, {}).get("median_s", float("inf"))
+            < _MATRIX_BUDGET_S
+        )
+    )
+
+
+def _canonical_run(knob: str, workers, out_dir) -> bytes:
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("REPRO_OBS_DISABLE", "REPRO_OBS_DIR", "REPRO_OBS_SAMPLE",
+                     "REPRO_OBS_PROFILE"):
+            mp.delenv(name, raising=False)
+        if knob == "obs-disabled":
+            mp.setenv("REPRO_OBS_DISABLE", "1")
+        request = RunRequest(ids=_matrix_ids(), smoke=True, workers=workers,
+                             cache=False, **_OBSERVER_KNOBS[knob])
+        summary = execute_request(request, out_dir=out_dir)
+    return canonical_results_bytes(summary.as_dict())
+
+
+@pytest.fixture(scope="module")
+def reference_results(tmp_path_factory):
+    return _canonical_run("telemetry", 1, tmp_path_factory.mktemp("reference"))
+
+
+@pytest.mark.parametrize("knob,workers", [
+    pytest.param(knob, workers, id=f"{knob}-{'serial' if workers else 'auto'}")
+    for knob in _OBSERVER_KNOBS for workers in (1, None)
+    if (knob, workers) != ("telemetry", 1)  # the reference run itself
+])
+def test_observer_knobs_do_not_change_results(
+    knob, workers, reference_results, tmp_path
+):
+    assert "R1" in _matrix_ids()
+    assert _canonical_run(knob, workers, tmp_path / "run") == reference_results

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.exp import registry
 from repro.exp.cli import main
 from repro.exp.registry import Experiment
@@ -213,6 +214,25 @@ class TestBenchCLI:
                      "--repeats", "1", "--record", str(baseline)]) == 0
         doc = json.loads(baseline.read_text())
         assert list(doc["tiers"]) == ["smoke"]
+
+    def test_every_repeat_executes_whatever_the_cache_flags(
+        self, monkeypatch, tmp_path
+    ):
+        # T3 runs its cells through a cached pmap; timing a cache replay
+        # would make every repeat after the first look fast.
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        baseline = tmp_path / "x.json"
+        assert main(["bench", "T3", "--smoke", "--repeats", "2",
+                     "--record", str(baseline)]) == 0
+        assert list(cache_dir.iterdir()) == []
+        doc = json.loads(baseline.read_text())
+        assert len(doc["tiers"]["smoke"]["T3"]["samples"]) == 2
+        metrics = obs.get_metrics()
+        executed = metrics.counter("pmap.cells_executed").value
+        assert executed == metrics.counter("pmap.cells").value > 0
 
 
 def test_committed_baseline_file_is_loadable():

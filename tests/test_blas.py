@@ -95,20 +95,17 @@ def test_concurrent_inline_runs_hold_the_pin_until_both_finish(
 
     first = threading.Thread(target=submit, name="first")
     second = threading.Thread(target=submit, name="second")
-    routing = obs.configure(None)
-    obs.configure(routing)
-    try:
-        first.start()
-        second.start()
-        first.join(60)
-        assert not first.is_alive()
-        first_finished.set()
-        second.join(60)
-        assert not second.is_alive()
-    finally:
-        # Each run swaps the process-wide telemetry sink and restores it
-        # on exit; two runs in threads restore out of order.
-        obs.configure(routing)
+    routing = obs.get_logger()
+    first.start()
+    second.start()
+    first.join(60)
+    assert not first.is_alive()
+    first_finished.set()
+    second.join(60)
+    assert not second.is_alive()
+    # Each run routes its thread's telemetry and restores it on exit, so
+    # two runs in threads leave this thread's routing as it was.
+    assert obs.get_logger() is routing
     assert states == {"first": DONE, "second": DONE}
     # The second run still saw one thread after the first one finished.
     assert spy.seen == [_pinned(), _pinned()]

@@ -248,6 +248,26 @@ class TestClusterContention:
         # The end-of-program crunch: the tail window is the busy one.
         assert contention.tail_utilization > contention.utilization
 
+    @pytest.mark.parametrize("policy", ["backfill", "conservative-edf"])
+    def test_trace_view_equals_the_record_fold_exactly(self, policy):
+        # R1 folds the simulator's records; `repro trace` folds the same
+        # jobs rebuilt from events.  Both must give the same bits.
+        from repro.cluster.metrics import contention
+        from repro.cluster.scheduler import ClusterSimulator
+        from repro.cluster.workload import synthetic_workload
+
+        sim = ClusterSimulator(8, policy=policy)
+        with obs.capture_events() as events:
+            records = sim.run(synthetic_workload(300, 8, mix="mixed", seed=3))
+        from_records = contention(
+            [(r.job.submit_time, r.start_time, r.end_time, r.job.n_gpus)
+             for r in records],
+            8, policy=sim.policy_name, n_preempts=sim.n_preempts,
+        )
+        assert from_records == TraceReader.from_records(events).cluster_runs()[0]
+        if policy == "conservative-edf":
+            assert from_records.n_preempts > 0
+
 
 class TestCacheAttribution:
     def test_counts_bucketed_by_experiment_frame(self):
