@@ -20,6 +20,21 @@ default BLAS thread count:
 * the cross-run index — the finished run registers itself with
   :class:`repro.obs.history.RunRegistry`.
 
+Experiments overlap.  In a request of two or more experiments with
+automatic workers (``workers=None``), the experiments that declare no
+``VOLATILE_VALUES`` are the cells of one :func:`repro.parallel.runner.run_cells`
+fan-out, on the same CPU budget their own ``pmap`` calls share.  Each
+records its events into an in-memory log and returns them with its
+result.  The coordinator replays them in resolved order, each between
+its own ``experiment_start`` and ``experiment_finish``, with fresh
+``seq`` numbers and the original ``ts`` and ``wall``, in one write.  The
+stream therefore matches a ``workers=1`` run's once volatile fields are
+stripped; ``experiment_finish.wall.pid`` names the process the
+experiment ran in.  Experiments with volatile values time themselves,
+so they run one at a time in this process once the fan-out has drained.
+A request of one experiment, or with an explicit worker count, runs its
+experiments here one after another.
+
 The CLI (``repro run/report/check``), the serving worker pool
 (:mod:`repro.serve.queue`), and the test suite all call this one
 function, so a run's on-disk shape cannot drift between entry points —
@@ -39,6 +54,7 @@ import repro
 from repro import obs
 from repro.api.types import RunRequest
 from repro.obs import context as trace_context
+from repro.obs.events import disabled as obs_disabled
 from repro.obs.profile import (
     PROFILE_ENV,
     PROFILE_FILE_ENV,
@@ -48,6 +64,7 @@ from repro.obs.profile import (
     resolve_profile,
 )
 from repro.obs.resources import ResourceSampler, resolve_sample_interval
+from repro.parallel.runner import run_cells
 from repro.utils import blas
 from repro.provenance.env import capture_environment
 from repro.provenance.manifest import ExperimentManifest
@@ -144,6 +161,15 @@ def execute_request(
     from repro.exp.registry import get_experiment
 
     resolved = request.resolved_ids()
+    experiments = [get_experiment(exp_id) for exp_id in resolved]
+    # Experiments that time themselves run alone, in this process; the
+    # rest of an automatic multi-experiment request overlap.
+    fanned = [
+        exp.id for exp in experiments
+        if request.workers is None and not exp.VOLATILE_VALUES
+    ]
+    if len(fanned) < 2:
+        fanned = []
     out_path = Path(out_dir) if out_dir is not None else None
     manifest = ExperimentManifest("repro-run")
     # The run executes under the caller's trace when one is bound (the
@@ -191,28 +217,27 @@ def execute_request(
             os.environ[PROFILE_ENV] = str(profile_interval)
             profiler = SamplingProfiler(profile_interval, log=profile_log)
             profiler.start()
+    fan_out = run_cells(_experiment_cell, [(exp_id, request) for exp_id in fanned])
+    outcomes = fan_out
     try:
         with trace_context.bind(ctx), blas.single_thread():
             obs.emit(
                 "run_start", {"experiments": resolved, "smoke": request.smoke}
             )
             records: list[RunRecord] = []
-            for exp_id in resolved:
-                exp = get_experiment(exp_id)
+            for exp in experiments:
                 obs.emit("experiment_start", {"experiment": exp.id})
-                start = time.perf_counter()
-                # The span makes each experiment a node of the run's call
-                # tree, so `repro trace --critical-path` names the dominant
-                # one.
-                with obs.span(exp.id):
-                    result = exp.run(
-                        request.overrides_for(exp.id),
-                        smoke=request.smoke,
-                        seeds=request.seeds,
-                        workers=request.workers,
-                        cache=request.cache,
-                    )
-                elapsed = time.perf_counter() - start
+                if exp.id in fanned:
+                    result, captured, elapsed, pid = next(outcomes)
+                    log = obs.get_logger()
+                    if log is not None:
+                        log.extend(captured)
+                else:
+                    # Drain the fan-out first: a busy sibling must not move
+                    # a timing verdict.
+                    outcomes = iter(list(outcomes))
+                    result, elapsed = _run_experiment(exp, request)
+                    pid = os.getpid()
                 verdict = exp.check(result)
                 manifest.record(
                     exp.id,
@@ -227,11 +252,12 @@ def execute_request(
                         "n_blocks": len(result.values),
                         "passed": None if verdict is None else verdict.passed,
                     },
-                    {"dur_s": elapsed},
+                    {"dur_s": elapsed, "pid": pid},
                 )
                 records.append(RunRecord(exp, result, verdict, elapsed))
             obs.emit("run_finish", {"n_experiments": len(records)})
     finally:
+        fan_out.close()
         if sampler is not None:
             sampler.stop()
         if profiler is not None:
@@ -255,6 +281,43 @@ def execute_request(
         _write_artifacts(summary, out_path)
         _register_run(out_path)
     return summary
+
+
+def _run_experiment(exp: Any, request: RunRequest) -> tuple[Any, float]:
+    """Run one experiment of ``request``: ``(result, wall seconds)``."""
+    start = time.perf_counter()
+    # The span makes each experiment a node of the run's call tree, so
+    # `repro trace --critical-path` names the dominant one.
+    with obs.span(exp.id):
+        result = exp.run(
+            request.overrides_for(exp.id),
+            smoke=request.smoke,
+            seeds=request.seeds,
+            workers=request.workers,
+            cache=request.cache,
+        )
+    return result, time.perf_counter() - start
+
+
+def _experiment_cell(
+    job: tuple[str, RunRequest],
+) -> tuple[Any, list[dict[str, Any]], float, int]:
+    """One fanned-out experiment: ``(result, events, seconds, pid)``.
+
+    The experiment records into an in-memory log of its own (none under
+    ``REPRO_OBS_DISABLE=1``), which the coordinator replays in the
+    experiment's place in the run.
+    """
+    from repro.exp.registry import get_experiment
+
+    exp_id, request = job
+    log = None if obs_disabled() else obs.EventLog()
+    previous = obs.configure(log)
+    try:
+        result, seconds = _run_experiment(get_experiment(exp_id), request)
+    finally:
+        obs.configure(previous)
+    return result, [] if log is None else log.records, seconds, os.getpid()
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

@@ -525,14 +525,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _bench_timings(args: argparse.Namespace) -> dict[str, list[float]]:
     """Median-of-k source data: each repeat's event-derived wall times,
     with the cell cache off whatever the flags, so no repeat times a
-    cache replay."""
+    cache replay.  Each experiment is its own request: a request of one
+    runs alone in this process, so a sample never shares the host with
+    a sibling experiment."""
     repeats = max(1, args.repeats)
     request = dataclasses.replace(_request_from(args), cache=False)
     timings: dict[str, list[float]] = {}
     for _ in range(repeats):
-        summary = Catalog().execute(request)
-        for exp_id, seconds in summary.timings().items():
-            timings.setdefault(exp_id, []).append(seconds)
+        for exp_id in request.resolved_ids():
+            summary = Catalog().execute(dataclasses.replace(request, ids=(exp_id,)))
+            for timed_id, seconds in summary.timings().items():
+                timings.setdefault(timed_id, []).append(seconds)
     return timings
 
 

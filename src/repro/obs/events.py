@@ -26,9 +26,12 @@ Fields split into two disjoint halves:
   before comparing runs.
 
 Emission rules that keep the contract honest: only the coordinating
-process writes events (worker processes are born with the
-``REPRO_OBS_DISABLE`` kill switch set), and the runner emits per-cell
-events in submission order regardless of completion order.
+process writes events, and the runner emits per-cell events in
+submission order regardless of completion order.  A pool worker's
+routing is off (:func:`configure` ``(None)``); an experiment that
+:func:`repro.api.execute_request` runs in a worker records into an
+in-memory log, which the coordinator replays with :meth:`EventLog.extend`
+in the experiment's place in the run.
 
 Environment knobs
 -----------------
@@ -40,8 +43,8 @@ Environment knobs
     loggers — the kill switch.
 
 The file is a :class:`repro.obs.stream.JsonlStream` (one ``os.write`` per
-line, no rotation); :func:`read_events` reads it back under the strict
-rule, dropping a torn final line.
+line or per replayed batch, no rotation); :func:`read_events` reads it
+back under the strict rule, dropping a torn final line.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.obs import context as _trace_context
 from repro.obs.stream import JsonlStream, TraceError
@@ -191,6 +194,36 @@ class EventLog:
                 self._stream.append(record)
             return record
 
+    def extend(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Replay records another log captured, as one batch.
+
+        Each record keeps its ``kind``, ``ts``, ``payload`` and ``wall``
+        and gets this log's next ``seq`` and trace, so a replayed stretch
+        reads as if it had been emitted here.  A file-backed log writes
+        the batch with one ``os.write``.
+        """
+        trace = self.trace if self.trace is not None else _trace_context.current()
+        stamp = None if trace is None else trace.as_dict()
+        with self._lock:
+            batch = []
+            for record in records:
+                copy = {
+                    "schema": SCHEMA_VERSION,
+                    "seq": self._seq,
+                    "kind": record["kind"],
+                    "ts": record["ts"],
+                    "payload": record["payload"],
+                    "wall": record["wall"],
+                }
+                if stamp is not None:
+                    copy["trace"] = stamp
+                self._seq += 1
+                batch.append(copy)
+            if self._stream is None:
+                self.records.extend(batch)
+            else:
+                self._stream.extend(batch)
+
     def close(self) -> None:
         """Release the file descriptor (subsequent emits reopen it)."""
         with self._lock:
@@ -276,10 +309,9 @@ def emit(
 def quiet() -> Iterator[None]:
     """Switch this thread's emits off inside the block (re-entrant).
 
-    The parallel runner quiesces cell functions with this: a cell's
-    interior events cannot be reproduced in canonical order from worker
-    processes, so the serial path mutes them too and the runner's own
-    per-cell events remain the single record either way.
+    The parallel runner quiesces cell functions with this: pool workers
+    run with routing off, so the serial path mutes cell interiors too and
+    the runner's own per-cell events remain the single record either way.
     """
     previous = configure(None)
     try:

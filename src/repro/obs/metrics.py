@@ -5,11 +5,13 @@ in order, the registry accumulates *how much and how fast* — cache hit
 counters, per-epoch loss gauges, sweep duration histograms — and renders
 one text report at the end of a run.
 
-Metrics are process-local by design: worker processes keep their own
-registries, which die with them, so the coordinating process's registry
-reflects exactly the work it observed (cache lookups, dispatch, spans)
-regardless of worker count.  Nothing here feeds cache keys or event
-payloads, so timings stay out of the determinism contract.
+Each process keeps its own registry.  A :func:`repro.parallel.pmap`
+pool worker resets its registry before each cell and returns what the
+cell recorded with its value; the coordinator folds it in with
+:meth:`Metrics.merge`, in submission order.  Counter values and timer
+counts therefore read the same at any worker count.  Nothing here feeds
+cache keys or event payloads, so timings stay out of the determinism
+contract.
 """
 
 from __future__ import annotations
@@ -306,6 +308,34 @@ class Metrics:
                 ]
             )
         return table.render()
+
+    def merge(self, other: "Metrics") -> None:
+        """Fold another registry's instruments into this one.
+
+        Counters add, timers and histograms pool their observations, and
+        a gauge takes ``other``'s value when it has one (the later write).
+
+        Examples
+        --------
+        >>> a, b = Metrics(), Metrics()
+        >>> _ = a.counter("cells").inc(2)
+        >>> _ = b.counter("cells").inc(3)
+        >>> a.merge(b)
+        >>> a.counter("cells").value
+        5
+        """
+        for name, counter in other._counters.items():
+            self.counter(name).inc(counter.value)
+        for name, gauge in other._gauges.items():
+            if not math.isnan(gauge.value):
+                self.gauge(name).set(gauge.value)
+        for name, timer in other._timers.items():
+            self.timer(name).samples.extend(timer.samples)
+        for name, hist in other._histograms.items():
+            mine = self.histogram(name, hist.buckets)
+            mine._counts = [a + b for a, b in zip(mine._counts, hist._counts)]
+            mine.sum += hist.sum
+            mine.count += hist.count
 
     def reset(self) -> None:
         """Drop every instrument (the test suite resets between tests)."""

@@ -14,7 +14,7 @@ The sampling profiler
 daemon thread that periodically captures the target thread's Python
 stack via :func:`sys._current_frames` and emits one ``profile_sample``
 record per tick.  Each sample carries the executing pid/role, the
-active span path from the coordinator's bind stack
+profiled thread's open span path
 (:func:`repro.obs.spans.current_span_path`), and the stack as
 ``[func, file, line]`` frames, root first.  Cheap enough to leave on
 for a whole run (CI gates the overhead at <5%).  For exact call counts,
@@ -22,13 +22,15 @@ run the stdlib profiler instead: ``python -m cProfile -m repro run ...``.
 
 Worker processes
 ----------------
-:func:`repro.parallel.pmap` workers are born with telemetry disabled,
+:func:`repro.parallel.pmap` workers run with their event routing off,
 but the profile stream is *volatile by construction*, so workers may
 append to it directly: the coordinator publishes the profile file via
-``REPRO_OBS_PROFILE_FILE`` (and the enclosing span path via
+``REPRO_OBS_PROFILE_FILE`` (and the span path enclosing the pool via
 ``REPRO_OBS_PROFILE_SPAN`` at pool-creation time), and the pool
 initializer calls :func:`attach_worker_profiler` to start a sampler
-inside each worker.  Appends are atomic lines
+inside each worker.  A worker's sample carries that inherited path
+joined with the worker's own open spans, so an experiment that runs in
+a worker is sampled under its own span.  Appends are atomic lines
 (:class:`repro.obs.stream.JsonlStream`), so any number of processes share
 one ``profile.jsonl``.
 
@@ -90,7 +92,7 @@ PROFILE_ENV = "REPRO_OBS_PROFILE"
 #: Published by the coordinator for the lifetime of a file-backed
 #: profiled run so pool initializers can attach worker samplers.
 PROFILE_FILE_ENV = "REPRO_OBS_PROFILE_FILE"
-#: The span path open at pool-creation time, stamped on worker samples.
+#: The span path open at pool-creation time, prefixed to worker samples.
 PROFILE_SPAN_ENV = "REPRO_OBS_PROFILE_SPAN"
 
 
@@ -169,9 +171,11 @@ class SamplingProfiler:
         ``"coordinator"`` or ``"worker"``, stamped on every sample so the
         read side can split hotspots per process.
     span:
-        A fixed span path to stamp (workers, whose processes have no
-        bind stack), or ``None`` to read the profiled thread's live
-        :func:`current_span_path` at each tick (the coordinator).
+        A fixed span path to stamp, or ``None`` to read the profiled
+        thread's live :func:`current_span_path` at each tick.
+    prefix:
+        The span path the process was started under (a pool worker's
+        inherited path), joined before the live path.
 
     The profiled thread is the one that calls :meth:`start`.
 
@@ -191,6 +195,7 @@ class SamplingProfiler:
         *,
         role: str = "coordinator",
         span: str | None = None,
+        prefix: str = "",
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
@@ -199,14 +204,18 @@ class SamplingProfiler:
             log = EventLog(log)
         self._log = log
         self.role = str(role)
+        self.prefix = prefix
         self._span: Callable[[], str] = (
-            (lambda: current_span_path(self._target_ident))
-            if span is None else (lambda: span)
+            self._live_span if span is None else (lambda: span)
         )
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._target_ident: int | None = None
         self.n_samples = 0
+
+    def _live_span(self) -> str:
+        live = current_span_path(self._target_ident)
+        return "/".join(part for part in (self.prefix, live) if part)
 
     def _tick(self) -> None:
         log, ident = self._log, self._target_ident
@@ -276,17 +285,16 @@ def attach_worker_profiler() -> SamplingProfiler | None:
 
     Reads ``REPRO_OBS_PROFILE_FILE`` (the shared ``profile.jsonl``,
     appended with atomic lines so any number of workers interleave
-    safely), the interval from ``REPRO_OBS_PROFILE``, and the enclosing
-    span path from ``REPRO_OBS_PROFILE_SPAN``.  A no-op unless the
-    coordinator is running a file-backed sampling profile.
+    safely), the interval from ``REPRO_OBS_PROFILE``, and the span path
+    enclosing the pool from ``REPRO_OBS_PROFILE_SPAN``, which prefixes
+    the worker's own live spans.  A no-op unless the coordinator is
+    running a file-backed sampling profile.
     """
     path = os.environ.get(PROFILE_FILE_ENV, "")
     if not path:
         return None
     # The coordinator publishes PROFILE_FILE_ENV only for file-backed
-    # sampling runs, with PROFILE_ENV holding the resolved interval; the
-    # profile stream is volatile by construction, so attach regardless
-    # of the REPRO_OBS_DISABLE=1 the worker initializer sets.
+    # sampling runs, with PROFILE_ENV holding the resolved interval.
     try:
         interval = float(os.environ.get(PROFILE_ENV, ""))
     except ValueError:
@@ -297,7 +305,7 @@ def attach_worker_profiler() -> SamplingProfiler | None:
         interval,
         log=EventLog(path),
         role="worker",
-        span=os.environ.get(PROFILE_SPAN_ENV, ""),
+        prefix=os.environ.get(PROFILE_SPAN_ENV, ""),
     )
     profiler.start()
     _worker_profilers.append(profiler)

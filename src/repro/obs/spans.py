@@ -15,6 +15,7 @@ event-sequence determinism contract and cache keys stay free of timing.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -27,8 +28,12 @@ __all__ = ["span", "current_span_path"]
 
 # Open spans, one stack per thread id: a run in another thread must not
 # nest under this thread's spans, and the CPU profiler's sampler thread
-# reads the stack of the thread it profiles.
+# reads the stack of the thread it profiles.  A forked child (a pmap pool
+# worker) starts with none: its forking thread's ident would otherwise
+# hand it the parent's open spans as its own.
 _stacks: dict[int, list[str]] = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_stacks.clear)
 
 
 def current_span_path(thread_id: int | None = None) -> str:
@@ -72,7 +77,7 @@ def span(name: str, **payload: Any) -> Iterator[str]:
         dur_s = time.perf_counter() - start
         stack.pop()
         if not stack:
-            del _stacks[thread_id]
+            _stacks.pop(thread_id, None)
         emit(
             "span_end",
             payload={"span": name, "path": path, "depth": len(stack), **payload},

@@ -12,7 +12,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["JsonlStream", "TraceError"]
 
@@ -45,8 +45,9 @@ class JsonlStream:
     """An append-only JSONL file with a strict read and a lenient poll.
 
     Each record is one ``sort_keys`` line written with a single
-    ``os.write`` to an ``O_APPEND`` descriptor, so concurrent writers
-    interleave lines, never bytes.  ``name`` is the file to use when
+    ``os.write`` to an ``O_APPEND`` descriptor (a batch is one write of
+    whole lines), so concurrent writers interleave lines, never bytes.
+    ``name`` is the file to use when
     ``path`` is a directory; ``default`` is the ``json.dumps`` fallback
     encoder; a positive ``max_bytes`` renames the live file to
     ``<name>.1`` (clobbering the previous one) before an append would
@@ -95,11 +96,23 @@ class JsonlStream:
             os.close(self._fd)
             self._fd = None
 
+    def _line(self, record: Mapping[str, Any]) -> str:
+        return json.dumps(record, sort_keys=True, default=self._default) + "\n"
+
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one record; a short write raises ``OSError`` naming the file."""
-        data = (
-            json.dumps(record, sort_keys=True, default=self._default) + "\n"
-        ).encode()
+        self._write(self._line(record).encode())
+
+    def extend(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Append a batch of records with one ``os.write`` of whole lines.
+
+        A rotating stream rotates before the batch, never inside it.
+        """
+        data = "".join(self._line(record) for record in records).encode()
+        if data:
+            self._write(data)
+
+    def _write(self, data: bytes) -> None:
         with self._lock:
             if self._fd is None:
                 self._open()

@@ -413,9 +413,10 @@ class TraceReader(_RunStreamReader):
     def critical_path(self) -> list[dict[str, Any]]:
         """The heaviest root-to-leaf chain through the span tree.
 
-        Spans on one stream run sequentially (only the coordinator emits),
-        so the critical path follows, at each level, the child with the
-        largest subtree duration.  Each hop reports its total and self
+        Spans nest in stream order (only the coordinator writes, and an
+        experiment run in a pool worker is replayed as one contiguous
+        stretch), so the critical path follows, at each level, the child
+        with the largest subtree duration.  Each hop reports its total and self
         time plus its fraction of the root.
         """
         roots = self.span_tree()

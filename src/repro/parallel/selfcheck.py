@@ -83,13 +83,23 @@ def p2_determinism(
     )
 
 
+class _ProbeCache(ResultCache):
+    """A private cache under test: the user-cache kill switch
+    (``REPRO_CACHE_DISABLE``) guards the user's results, not a probe of
+    the mechanism, so this one is always on."""
+
+    @property
+    def enabled(self) -> bool:
+        return True
+
+
 def p2_cache_rerun(
     dims=(50, 100, 200), eps_grid=(0.05, 0.1), n_trials: int = 3
 ) -> Block:
-    """Cold vs 100%-cache-hit re-run of the same sweep."""
+    """Cold vs 100%-cache-hit re-run of the same sweep, on a private cache."""
     n_cells = len(dims) * len(eps_grid) * n_trials
     with tempfile.TemporaryDirectory() as root:
-        cache = ResultCache(root)
+        cache = _ProbeCache(root)
         sweep = make_sweep(dims, eps_grid, n_trials)
         start = time.perf_counter()
         cold = sweep.run(cache=cache)

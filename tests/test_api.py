@@ -421,3 +421,121 @@ def test_observer_knobs_do_not_change_results(
 ):
     assert "R1" in _matrix_ids()
     assert _canonical_run(knob, workers, tmp_path / "run") == reference_results
+
+
+# -- a multi-experiment request fans out ----------------------------------------
+
+#: Three experiments that overlap and one that times itself (P1), which
+#: runs alone in the coordinator once the others are done.
+_FANNED_IDS = ("T1", "P1", "T3", "R1")
+_OBS_ENV = ("REPRO_OBS_DISABLE", "REPRO_OBS_DIR", "REPRO_OBS_SAMPLE",
+            "REPRO_OBS_PROFILE")
+
+
+@pytest.fixture()
+def forced_pool(monkeypatch):
+    """Automatic calls pool at once, on a budget of two CPUs."""
+    from repro.parallel import runner
+
+    monkeypatch.setattr(runner, "POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(runner, "visible_cpus", lambda: 2)
+    for name in _OBS_ENV:
+        monkeypatch.delenv(name, raising=False)
+
+
+def _replayable(out_dir):
+    """The run's events with volatile fields and sample kinds dropped."""
+    return [
+        json.dumps(obs.strip_volatile(e), sort_keys=True)
+        for e in obs.read_events(out_dir / "events.jsonl")
+        if e["kind"] not in obs.VOLATILE_KINDS
+    ]
+
+
+def _prom_counts(out_dir):
+    """Counter values and summary counts of the run's metrics.prom."""
+    lines = (out_dir / "metrics.prom").read_text().splitlines()
+    return sorted(
+        line.split("{")[0] + " " + line.rsplit(" ", 1)[1] for line in lines
+        if not line.startswith("#") and ("_total{" in line or "_count{" in line)
+    )
+
+
+def test_fanned_out_request_replays_the_serial_event_stream(forced_pool, tmp_path):
+    runs = {}
+    for label, workers in (("serial", 1), ("auto", None)):
+        obs.get_metrics().reset()
+        summary = execute_request(
+            RunRequest(ids=_FANNED_IDS, smoke=True, workers=workers, cache=False),
+            out_dir=tmp_path / label,
+        )
+        finish = {
+            e["payload"]["experiment"]: e["wall"]["pid"]
+            for e in obs.read_events(tmp_path / label / "events.jsonl")
+            if e["kind"] == "experiment_finish"
+        }
+        runs[label] = (
+            _replayable(tmp_path / label),
+            canonical_results_bytes(summary.as_dict()),
+            _prom_counts(tmp_path / label),
+            finish,
+        )
+    serial, auto = runs["serial"], runs["auto"]
+    assert auto[0] == serial[0]
+    assert any('"kind": "job_submit"' in line for line in auto[0])
+    assert auto[1] == serial[1]
+    assert auto[2] == serial[2]
+    assert set(serial[3].values()) == {os.getpid()}
+    assert auto[3]["P1"] == os.getpid()
+    assert os.getpid() not in {auto[3][i] for i in ("T1", "T3", "R1")}
+
+
+class _PidExperiment(Experiment):
+    """Reports where it ran and whether telemetry reached it."""
+
+    title = "pid probe"
+    DEFAULT = {"x": 1}
+
+    def _run(self, config, *, workers, cache):
+        result = ExpResult(self.id, config)
+        result.add("probe", Block(values={
+            "pid": os.getpid(), "routed": obs.get_logger() is not None,
+        }))
+        return result
+
+
+def test_kill_switch_captures_nothing_and_still_overlaps(
+    forced_pool, monkeypatch, tmp_path
+):
+    registry.load_all()
+    for exp_id in ("ZZPIDA", "ZZPIDB"):
+        exp = _PidExperiment()
+        exp.id = exp_id
+        monkeypatch.setitem(registry._REGISTRY, exp_id, exp)
+    monkeypatch.setenv("REPRO_OBS_DISABLE", "1")
+    summary = execute_request(
+        RunRequest(ids=("ZZPIDA", "ZZPIDB"), cache=False), out_dir=tmp_path / "run"
+    )
+    probes = [record.result["probe"] for record in summary.records]
+    assert os.getpid() not in {probe["pid"] for probe in probes}
+    assert not any(probe["routed"] for probe in probes)
+    assert not (tmp_path / "run" / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("knob", list(_OBSERVER_KNOBS))
+def test_observer_knobs_do_not_change_a_fanned_out_request(
+    knob, forced_pool, monkeypatch, tmp_path
+):
+    ids = ("T3", "R1")
+    reference = execute_request(
+        RunRequest(ids=ids, smoke=True, workers=1, cache=False),
+        out_dir=tmp_path / "reference",
+    )
+    if knob == "obs-disabled":
+        monkeypatch.setenv("REPRO_OBS_DISABLE", "1")
+    summary = execute_request(
+        RunRequest(ids=ids, smoke=True, cache=False, **_OBSERVER_KNOBS[knob]),
+        out_dir=tmp_path / "run",
+    )
+    assert canonical_results_bytes(summary.as_dict()) == \
+        canonical_results_bytes(reference.as_dict())

@@ -234,6 +234,34 @@ class TestBenchCLI:
         executed = metrics.counter("pmap.cells_executed").value
         assert executed == metrics.counter("pmap.cells").value > 0
 
+    def test_each_experiment_is_timed_in_a_request_of_its_own(
+        self, monkeypatch, tmp_path
+    ):
+        # A multi-experiment request overlaps its experiments; a baseline
+        # sample must time one that has the host to itself.
+        from repro.api import Catalog
+
+        requests = []
+
+        class _Summary:
+            def __init__(self, ids):
+                self.ids = ids
+
+            def timings(self):
+                return {exp_id: 0.01 for exp_id in self.ids}
+
+        def execute(self, request, out_dir=None):
+            requests.append(tuple(request.resolved_ids()))
+            return _Summary(request.resolved_ids())
+
+        monkeypatch.setattr(Catalog, "execute", execute)
+        baseline = tmp_path / "b.json"
+        assert main(["bench", "T1", "T2", "T3", "--smoke", "--repeats", "2",
+                     "--record", str(baseline)]) == 0
+        assert requests == [("T1",), ("T2",), ("T3",)] * 2
+        doc = json.loads(baseline.read_text())
+        assert {len(e["samples"]) for e in doc["tiers"]["smoke"].values()} == {2}
+
 
 def test_committed_baseline_file_is_loadable():
     """The repo-root BENCH_baselines.json stays schema-valid."""

@@ -208,6 +208,94 @@ class TestAutoWorkers:
         assert auto.reports == serial.reports
 
 
+def timed_leaf(seconds):
+    """Sleep; report ``(pid, start, end)`` on the host-wide monotonic clock."""
+    start = time.monotonic()
+    time.sleep(seconds)
+    return os.getpid(), start, time.monotonic()
+
+
+def leaf_or_nested(config):
+    """A sleep leaf, or a nested automatic call over sleep leaves."""
+    kind, arg = config
+    if kind == "leaf":
+        return [timed_leaf(arg)]
+    return pmap(timed_leaf, arg)
+
+
+def _max_overlap(intervals):
+    edges = sorted(
+        [(start, 1) for _, start, _ in intervals]
+        + [(end, -1) for _, _, end in intervals]
+    )
+    running = peak = 0
+    for _, step in edges:
+        running += step
+        peak = max(peak, running)
+    return peak
+
+
+class TestCpuBudget:
+    """Automatic calls share ``visible_cpus()`` process tokens."""
+
+    def test_nested_call_takes_the_core_its_sibling_frees(self, eager_auto):
+        with obs.capture_events() as events:
+            sibling, nested = pmap(
+                leaf_or_nested, [("leaf", 0.4), ("nested", [0.1] * 8)]
+            )
+        assert _finish(events)["mode"] == "pool"
+        (_, _, sibling_end), = sibling
+        leaves = sibling + nested
+        # Never more processes running cells than the budget's 2 tokens.
+        assert _max_overlap(leaves) <= 2
+        overlapping = [
+            max(a[1], b[1]) for k, a in enumerate(nested) for b in nested[k + 1:]
+            if a[1] < b[2] and b[1] < a[2]
+        ]
+        # The nested call ran cells side by side, but only once the
+        # sibling had finished and handed its token on.
+        assert overlapping, "the nested call never used the freed core"
+        assert min(overlapping) >= sibling_end
+        assert len({pid for pid, _, _ in nested}) >= 2
+
+    def test_run_cells_yields_in_order_without_events(self, eager_auto):
+        with obs.capture_events() as events:
+            out = list(runner.run_cells(double_cell, [3, 1, 2, 5]))
+        assert out == [6, 2, 4, 10]
+        assert events == []
+
+    def test_pool_cells_metrics_merge_into_the_caller(self, eager_auto):
+        obs.get_metrics().reset()
+        pmap(counting_cell, [1, 2, 3, 4], workers=1)
+        serial = obs.get_metrics().snapshot()["counters"]
+        obs.get_metrics().reset()
+        with obs.capture_events() as events:
+            pmap(counting_cell, [1, 2, 3, 4])
+        assert _finish(events)["mode"] == "pool"
+        assert obs.get_metrics().snapshot()["counters"] == serial
+        assert serial["test.cell_units"] == 10
+
+
+def counting_cell(config):
+    obs.get_metrics().counter("test.cell_units").inc(config)
+    return config
+
+
+def test_p2_cache_probe_ignores_the_user_cache_kill_switch(monkeypatch):
+    """P2 measures a private cache; the switch guards the user's cache."""
+    from repro.parallel.selfcheck import p2_cache_rerun
+
+    def values():
+        block = p2_cache_rerun(dims=(5,), eps_grid=(0.1,), n_trials=2)
+        return {k: v for k, v in block.values.items() if k != "warm_over_cold"}
+
+    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+    on = values()
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    assert values() == on
+    assert on["warm_hits"] == on["n_cells"] == 2
+
+
 _ORPHAN_SCRIPT = """
 import os, sys, time
 from repro.parallel import pmap

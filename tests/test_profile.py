@@ -223,6 +223,44 @@ class TestWorkerAttach:
         assert PROFILE_FILE_ENV not in os.environ
         assert os.environ[PROFILE_SPAN_ENV] == "caller"
 
+    def test_experiments_in_pool_workers_sample_under_their_own_spans(
+        self, tmp_path, monkeypatch
+    ):
+        """A fanned-out experiment is sampled under its span, not the
+        run root the pool was started from."""
+        from repro.exp import registry
+        from repro.exp.registry import Experiment
+        from repro.exp.result import Block, ExpResult
+        from repro.parallel import runner
+
+        class Spinning(Experiment):
+            title = "spins"
+            DEFAULT = {"x": 1}
+
+            def _run(self, config, *, workers, cache):
+                spin(0.2)
+                result = ExpResult(self.id, config)
+                result.add("block", Block(values={"x": config["x"]}))
+                return result
+
+        registry.load_all()
+        for exp_id in ("ZZSPINA", "ZZSPINB"):
+            exp = Spinning()
+            exp.id = exp_id
+            monkeypatch.setitem(registry._REGISTRY, exp_id, exp)
+        monkeypatch.setattr(runner, "POOL_AFTER_S", 0.0)
+        monkeypatch.setattr(runner, "visible_cpus", lambda: 2)
+        summary = execute_request(
+            RunRequest(ids=("ZZSPINA", "ZZSPINB"), cache=False,
+                       profile="0.002"),
+            out_dir=tmp_path / "run",
+        )
+        samples = ProfileReader.load(summary.out_dir).samples
+        worker_spans = {
+            r["wall"]["span"] for r in samples if r["wall"]["role"] == "worker"
+        }
+        assert {"ZZSPINA", "ZZSPINB"} <= worker_spans
+
 
 class TestProfileReader:
     def make_reader(self):

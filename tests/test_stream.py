@@ -91,3 +91,23 @@ class TestJsonlStreamContract:
             JsonlStream(tmp_path / "absent.jsonl").read()
         assert JsonlStream(tmp_path / "absent.jsonl").poll() == []
         assert not os.path.exists(tmp_path / "absent.jsonl")
+
+
+def test_replayed_batch_is_one_write_equal_to_single_appends(tmp_path, monkeypatch):
+    from repro.obs.events import EventLog
+
+    captured = EventLog()  # in memory, as a fanned-out experiment records
+    for i in range(1000):
+        captured.emit("tick", {"i": i}, {"dur_s": i / 7})
+    single = JsonlStream(tmp_path / "single.jsonl")
+    for record in captured.records:
+        single.append(record)
+    writes = []
+    real_write = os.write
+    monkeypatch.setattr(
+        os, "write", lambda fd, data: writes.append(fd) or real_write(fd, data)
+    )
+    EventLog(tmp_path / "replayed.jsonl").extend(captured.records)
+    assert len(writes) == 1
+    assert JsonlStream(tmp_path / "replayed.jsonl").read() == single.read()
+    assert single.read()[0] == captured.records
