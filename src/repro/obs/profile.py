@@ -166,7 +166,7 @@ class SamplingProfiler:
         Event sink (an :class:`EventLog` or a path).  The profiler writes
         through the log directly — never the module-level emitter — so
         samples keep flowing inside :func:`repro.obs.quiet` blocks and in
-        worker processes born with ``REPRO_OBS_DISABLE=1``.
+        pool workers, whose event routing is off.
     role:
         ``"coordinator"`` or ``"worker"``, stamped on every sample so the
         read side can split hotspots per process.
@@ -275,10 +275,6 @@ class SamplingProfiler:
 # ---------------------------------------------------------------------------
 # Worker-side attach (called from the pmap pool initializer)
 
-# Keep attached samplers referenced for the worker process's lifetime —
-# the daemon thread dies with the process, no teardown needed.
-_worker_profilers: list[SamplingProfiler] = []
-
 
 def attach_worker_profiler() -> SamplingProfiler | None:
     """Start a worker-role sampler when the coordinator published one.
@@ -308,5 +304,9 @@ def attach_worker_profiler() -> SamplingProfiler | None:
         prefix=os.environ.get(PROFILE_SPAN_ENV, ""),
     )
     profiler.start()
-    _worker_profilers.append(profiler)
+    # Stop the sampler as the worker exits: a thread killed by the exit
+    # mid-write would leave a torn line inside the shared file.
+    from multiprocessing import util
+
+    util.Finalize(None, profiler.stop, exitpriority=0)
     return profiler

@@ -27,28 +27,23 @@ records the reason in the run's telemetry.
 
 ``workers=None`` is the automatic mode.  Cells run serially in this
 process until the call has spent :data:`POOL_AFTER_S` of cell time; if
-two or more cells are still left then, the rest go to a pool of up to
+two or more cells are still left then, the rest go to a pool of
 ``min(usable CPUs, cells left)`` workers.  A pool costs tens of
 milliseconds to start, so calls made of millisecond cells never pay for
-one, and a call whose cells prove long gets every free core.  Pool
-workers exit on their own when the process that started them dies.
+one.  Pool workers exit on their own when the process that started them
+dies.
 
 One CPU budget
 --------------
-Automatic calls share one budget of :func:`visible_cpus` process tokens
-across the whole process tree: a process running cells holds one.  A
-pool of ``k`` workers takes ``k - 1`` more (its caller blocks, handing
-its own token to a worker) and gives one back each time a worker runs
-out of cells.  The top-level call finds the host free.  An automatic
-call made inside a pool worker, once past :data:`POOL_AFTER_S`, takes
-what tokens are free without blocking; with none, it moves its cells to
-one worker on its own token and, while cells wait, checks the budget
-every :data:`_TOKEN_POLL_S`, starting another worker the moment a token
-comes free rather than at the end of a long cell.  So an experiment's
-grid running in a worker takes a core as soon as a sibling's lane
-drains, without oversubscribing the host, and no more than
-``visible_cpus()`` processes run cells at once.  Explicit worker counts
-ask the budget for nothing.
+Automatic calls share :func:`visible_cpus` tokens across the process
+tree, as GNU make's jobserver does: a pool cell runs holding a token,
+and a worker without one waits.  A caller running on a token lends it to
+its own pool until the pool has shut down; after a pool failure it takes
+one back only if one is free, since a worker killed mid-cell dies
+holding its token.  So no more than ``visible_cpus()`` processes run
+cells at once, and a nested call's workers start as tokens come free.
+Explicit worker counts take no tokens; an automatic call inside one of
+their cells starts a budget of its own.
 
 :func:`run_cells` is the automatic execution without the telemetry and
 cache layers: :func:`repro.api.execute_request` fans a request's
@@ -75,11 +70,11 @@ back with its value and is merged into this process's registry.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -106,12 +101,8 @@ POOL_AFTER_S = 0.25
 #: How often a pool worker checks that the process that started it lives.
 _ORPHAN_POLL_S = 0.2
 
-#: How often a pooled automatic call with cells still waiting for a worker
-#: checks the budget for a token that came free.
-_TOKEN_POLL_S = 0.02
-
-#: The token budget this process shares with the tree above it: set in
-#: pool workers, ``None`` in a process no pool started.
+#: The token budget this process's cells run on: set in the workers of
+#: automatic pools, ``None`` elsewhere.
 _budget: Any = None
 #: The span path the pool that started this worker was created under.
 _span_prefix = ""
@@ -161,18 +152,18 @@ def _invoke_timed(
 ) -> tuple[Any, int, float, obs.Metrics]:
     """Run one pool cell: ``(value, worker_pid, dur_s, metrics)``.
 
-    Measuring inside the worker gives the cell's true execution time (the
-    coordinator can only observe gather latency); the pid lets trace
-    analytics attribute busy time to individual workers.  Both travel in
-    the volatile ``wall`` section of the cell events, outside the
-    determinism contract.  ``metrics`` is what the cell recorded in this
-    worker's registry, which is emptied first.
+    Timed inside the worker, so ``dur_s`` is the cell's execution time,
+    neither gather latency nor the wait for a token; it and the pid travel
+    in the volatile ``wall`` section of the cell events.  ``metrics`` is
+    what the cell recorded in this worker's registry, emptied first.
     """
     metrics = obs.get_metrics()
     metrics.reset()
-    start = time.perf_counter()
-    value = _invoke(fn, config, seed)
-    return value, os.getpid(), time.perf_counter() - start, metrics
+    with _budget if _budget is not None else contextlib.nullcontext():
+        start = time.perf_counter()
+        value = _invoke(fn, config, seed)
+        dur_s = time.perf_counter() - start
+    return value, os.getpid(), dur_s, metrics
 
 
 def _exit_with_parent(parent_pid: int) -> None:
@@ -187,23 +178,16 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _worker_init(parent_pid: int, budget: Any) -> None:
-    """Pool initializer: mute routing, pin BLAS, join the token budget.
+    """Pool initializer: mute routing, pin BLAS, join ``budget``.
 
-    A forked worker inherits a running request's pin; a spawned one would
-    start at the host's default thread count, so every worker pins itself.
-
-    Cell interiors cannot emit in canonical order from workers, so the
-    worker's routing is off and the coordinator's per-cell events are the
-    single record of the run.  A cell may still route its own emits into
-    a log of its own and return the records.
-
-    The CPU profiler's stream is volatile by construction (it never
-    touches ``events.jsonl``), so when the coordinator published a
-    profile file this worker self-samples into it — coordinators cannot
-    capture another process's Python stacks.
-
-    A daemon thread watches ``parent_pid`` and ends the worker when the
-    coordinator dies without shutting the pool down.
+    ``budget`` holds the tokens the worker's cells run on (``None`` for
+    an explicit pool).  Every worker pins BLAS: a spawned one would start
+    at the host's thread count.  Routing is off because cell interiors
+    cannot emit in canonical order from workers; a cell may route its own
+    emits into a log it returns.  The profiler's stream never touches
+    ``events.jsonl``, so when the coordinator published a profile file
+    the worker self-samples into it.  A daemon thread ends the worker
+    when ``parent_pid`` dies without shutting the pool down.
     """
     global _budget, _span_prefix
     _budget = budget
@@ -235,33 +219,6 @@ def _picklable(*values: Any) -> bool:
         return False
 
 
-class _Tokens:
-    """The process tokens one automatic call holds of a shared budget.
-
-    ``cap`` is the most processes the call may run cells in: its caller's
-    own token plus ``held``.
-    """
-
-    def __init__(self, budget: Any, cap: int) -> None:
-        self.budget = budget
-        self.cap = cap
-        self.held = 0
-
-    def take(self, n: int) -> int:
-        """Acquire up to ``n`` more tokens without blocking; returns how many."""
-        got = 0
-        while got < n and self.budget.acquire(block=False):
-            got += 1
-        self.held += got
-        return got
-
-    def give_back(self, keep: int = 0) -> None:
-        """Release tokens until ``keep`` are held."""
-        while self.held > keep:
-            self.budget.release()
-            self.held -= 1
-
-
 @dataclass
 class _Dispatch:
     """How one call's cells ran: the ``wall`` half of ``pmap_finish``."""
@@ -276,21 +233,15 @@ def _run_pool(
     fn: Callable[..., Any],
     configs: Sequence[Any],
     seeds: Sequence[Any],
-    todo: Sequence[int],
     size: int,
-    tokens: _Tokens | None,
-    dispatch: _Dispatch,
+    budget: Any,
 ) -> Iterator[tuple[Any, int, float]]:
-    """Run the ``todo`` cells on pool workers, yielding ``(value, pid,
-    dur_s)`` in order.
+    """Run every cell on ``size`` workers; yield ``(value, pid, dur_s)``
+    in order.
 
-    The call starts with ``size`` workers.  With ``tokens`` and fewer
-    workers than their cap, it may grow: while cells wait it starts
-    another pool as soon as a further token comes free.  With ``tokens``
-    it gives one back each time a worker runs out of cells, and whatever
-    it still holds at the end.  ``dispatch.workers`` counts the workers
-    started.  Raises what the pool raises; the caller falls back to the
-    serial path.
+    The workers' cells run on ``budget``'s tokens (``None``: unmetered).
+    A caller running on one of them lends it to the pool until the pool
+    has shut down.  Raises what the pool raises.
     """
     if os.environ.get(obs_profile.PROFILE_FILE_ENV):
         # Workers inherit env at fork: stamp the span path enclosing this
@@ -298,81 +249,34 @@ def _run_pool(
         os.environ[obs_profile.PROFILE_SPAN_ENV] = "/".join(
             part for part in (_span_prefix, obs.current_span_path()) if part
         )
-    budget = tokens.budget if tokens is not None else _budget
-    pools: list[ProcessPoolExecutor] = []
-    rosters: list[tuple[int, ...]] = []
-    free: list[ProcessPoolExecutor] = []  # one entry per cell a pool may take
-    finished: queue.SimpleQueue = queue.SimpleQueue()
-    ready: dict[int, tuple[Any, int, float, obs.Metrics]] = {}
-    submitted = yielded = in_flight = 0
-
-    def grow(n_workers: int, slots: int) -> None:
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_worker_init,
-            initargs=(os.getpid(), budget),
-        )
-        pools.append(pool)
-        free.extend([pool] * slots)
-        dispatch.workers += n_workers
-
+    roster: tuple[int, ...] = ()
+    lent = broken = False
+    pool = ProcessPoolExecutor(
+        max_workers=size, initializer=_worker_init, initargs=(os.getpid(), budget),
+    )
     try:
-        # A pool that will never grow takes every cell at once.  One that
-        # may grow hands a cell out only to an idle worker, so that a
-        # worker started later can take the rest.
-        dispatch.workers = 0
-        fixed = tokens is None or size >= tokens.cap
-        grow(size, len(todo) if fixed else size)
-        while yielded < len(todo):
-            while free and submitted < len(todo):
-                pool = free.pop()
-                k = todo[submitted]
-                future = pool.submit(_invoke_timed, fn, configs[k], seeds[k])
-                future.add_done_callback(
-                    lambda f, i=submitted, p=pool: finished.put((i, p, f))
-                )
-                submitted += 1
-                in_flight += 1
-            # A pool spawns its processes on first submit; publish their
-            # pids so an active ResourceSampler can attribute RSS/CPU to
-            # individual workers.
-            for pool in pools[len(rosters):]:
-                roster = tuple(sorted(getattr(pool, "_processes", None) or ()))
-                rosters.append(roster)
-                obs_resources.note_worker_pids(roster)
-            waiting = submitted < len(todo)
-            can_grow = (
-                waiting and tokens is not None and dispatch.workers < tokens.cap
-            )
-            try:
-                index, pool, future = finished.get(
-                    timeout=_TOKEN_POLL_S if can_grow else None
-                )
-            except queue.Empty:
-                got = tokens.take(
-                    min(tokens.cap - dispatch.workers, len(todo) - submitted)
-                )
-                if got:
-                    grow(got, got)
-                continue
-            in_flight -= 1
-            free.append(pool)
-            ready[index] = future.result()
-            if tokens is not None and not waiting:
-                # Workers out of cells hand their tokens on; the caller's
-                # own token covers the last one running.
-                tokens.give_back(max(0, min(in_flight, dispatch.workers) - 1))
-            while yielded in ready:
-                value, pid, dur_s, metrics = ready.pop(yielded)
-                obs.get_metrics().merge(metrics)
-                yielded += 1
-                yield value, pid, dur_s
+        futures = [pool.submit(_invoke_timed, fn, *c) for c in zip(configs, seeds)]
+        # The pool forks its processes on submit; publish their pids so an
+        # active ResourceSampler can attribute RSS/CPU to each worker.
+        roster = tuple(sorted(getattr(pool, "_processes", None) or ()))
+        obs_resources.note_worker_pids(roster)
+        if budget is not None and budget is _budget:
+            budget.release()
+            lent = True
+        for future in futures:
+            value, pid, dur_s, metrics = future.result()
+            obs.get_metrics().merge(metrics)
+            yield value, pid, dur_s
+    except _POOL_FAILURES:
+        broken = True
+        raise
     finally:
-        for roster in rosters:
-            obs_resources.forget_worker_pids(roster)
-        for pool in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if tokens is not None:
-            tokens.give_back()
+        obs_resources.forget_worker_pids(roster)
+        pool.shutdown(wait=True, cancel_futures=True)
+        if lent:
+            # A worker killed mid-cell took its token with it: after a
+            # failure, take one back only if it is free.
+            budget.acquire(block=not broken)
 
 
 def _execute(
@@ -398,8 +302,8 @@ def _execute(
         dispatch.serial_cells += 1
         return value, own_pid, time.perf_counter() - start
 
-    tokens: _Tokens | None = None
     size = 1
+    budget = None
     if workers is not None:
         size = dispatch.workers = resolve_workers(workers)
         if size > 1 and n < 2:
@@ -417,25 +321,16 @@ def _execute(
             yield cell
         if n - done > 1:
             if _picklable(fn, configs[done]):
-                # The top of the tree runs the only cells, so the rest of
-                # the host is free; below it, the tree shares one budget.
-                budget = _budget
-                if budget is None:
-                    budget = multiprocessing.Semaphore(cpus - 1)
-                tokens = _Tokens(budget, min(cpus, n - done))
-                # With no token free the caller's own still moves the rest
-                # to one worker: a cell run here would keep the call from
-                # growing until that cell ended.
-                size = 1 + tokens.take(tokens.cap - 1)
-                dispatch.workers = size
+                # The top of the tree starts the budget; below it, the
+                # tree shares one.
+                budget = _budget or multiprocessing.Semaphore(cpus)
+                size = min(cpus, n - done)
             else:
                 dispatch.fallback = "unpicklable"
-    if size > 1 or tokens is not None:
-        dispatch.mode = "pool"
+    if size > 1:
+        dispatch.mode, dispatch.workers = "pool", size
         try:
-            for cell in _run_pool(
-                fn, configs, seeds, range(done, n), size, tokens, dispatch
-            ):
+            for cell in _run_pool(fn, configs[done:], seeds[done:], size, budget):
                 done += 1
                 yield cell
         except _POOL_FAILURES as exc:
@@ -454,7 +349,7 @@ def run_cells(fn: Callable[[Any], Any], configs: Sequence[Any]) -> Iterator[Any]
     prefix, pool and token budget — without its events, metrics or
     cache.  A cell whose interior must survive records it itself and
     returns it with its value.  Exhaust or ``close()`` the iterator: a
-    pool is shut down (and its tokens returned) only then.
+    pool is shut down, and a lent token taken back, only then.
     """
     configs = list(configs)
     for value, _pid, _dur_s in _execute(

@@ -281,6 +281,76 @@ def counting_cell(config):
     return config
 
 
+def test_concurrent_nested_calls_stay_inside_the_budget(eager_auto):
+    """Three nested calls on two tokens lend and take theirs back while
+    the others run: up to six workers, never more than two leaves."""
+    calls = pmap(leaf_or_nested, [("nested", [0.05] * 6)] * 3)
+    assert [len(leaves) for leaves in calls] == [6, 6, 6]
+    assert _max_overlap([leaf for leaves in calls for leaf in leaves]) <= 2
+
+
+def leaf_or_explicit(config):
+    """A sleep leaf, or a nested call over sleep leaves on two workers."""
+    kind, arg = config
+    if kind == "leaf":
+        return [timed_leaf(arg)]
+    return pmap(timed_leaf, arg, workers=2)
+
+
+def test_explicit_worker_counts_take_no_tokens(eager_auto):
+    sibling, explicit = pmap(
+        leaf_or_explicit, [("leaf", 1.0), ("explicit", [0.2] * 4)]
+    )
+    (_, _, sibling_end), = sibling
+    # The budget's 2 tokens are held by the two cells; the explicit pool's
+    # two workers run beside them without waiting for one.
+    assert _max_overlap(sibling + explicit) == 3
+    assert explicit[0][2] < sibling_end
+
+
+_DEAD_WORKER_SCRIPT = """
+import os
+from repro import obs
+from repro.parallel import pmap, runner
+
+runner.POOL_AFTER_S = 0.0
+runner.visible_cpus = lambda: 2
+
+def die_off_home(config):
+    home_pid, x = config
+    if os.getpid() != home_pid:
+        os._exit(1)
+    return 2 * x
+
+def quick_or_dying(config):
+    kind, n = config
+    if kind == "quick":
+        return [n]
+    return pmap(die_off_home, [(os.getpid(), x) for x in range(n)])
+
+with obs.capture_events() as events:
+    top = pmap(die_off_home, [(os.getpid(), x) for x in range(4)])
+(finish,) = [e for e in events if e["kind"] == "pmap_finish"]
+print(top, finish["wall"]["fallback"])
+print(pmap(quick_or_dying, [("quick", 0), ("dying", 4)]))
+"""
+
+
+def test_pool_whose_workers_die_falls_back_to_serial():
+    """At the top level and nested, without waiting on the lost tokens."""
+    src = str(Path(runner.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _DEAD_WORKER_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[0, 2, 4, 6] BrokenProcessPool",
+        "[[0], [0, 2, 4, 6]]",
+    ]
+
+
 def test_p2_cache_probe_ignores_the_user_cache_kill_switch(monkeypatch):
     """P2 measures a private cache; the switch guards the user's cache."""
     from repro.parallel.selfcheck import p2_cache_rerun
