@@ -1,8 +1,8 @@
 """Scheduling-engine throughput: simulated jobs per wall second, per policy.
 
-The engine rebuild (reservation calendar + end-time heap) trades the
-seed's O(n^2) completion path for near-linear event processing; this
-bench is the receipt.  It drives :func:`synthetic_workload`'s
+The engine rebuild (a reservation calendar of future capacity, with
+completions as events) trades the seed's O(n^2) completion path for
+near-linear event processing; this bench is the receipt.  It drives :func:`synthetic_workload`'s
 steady-state arrival stream — bounded queue depth, so the measurement
 isolates per-job engine cost — through every policy family member and
 reports jobs/sec at increasing workload sizes.

@@ -3,11 +3,10 @@
 The simulator is three layers now:
 
 * **engine** (this module + :mod:`repro.cluster.engine` +
-  :mod:`repro.cluster.calendar`) — the deterministic event queue, a
-  lazily-pruned end-time heap indexing running jobs, and an incrementally
-  maintained :class:`~repro.cluster.calendar.ReservationCalendar` of
-  future free capacity, so completion handling is O(log n) and
-  ``earliest_fit`` queries never rescan the job list;
+  :mod:`repro.cluster.calendar`) — the deterministic event queue and an
+  incrementally maintained
+  :class:`~repro.cluster.calendar.ReservationCalendar` of future free
+  capacity, so ``earliest_fit`` queries never rescan the job list;
 * **policies** (:mod:`repro.cluster.scheduling`) — FIFO, EDF, fair-share,
   EASY backfill, conservative backfill, and hybrid-k backfill behind one
   :class:`~repro.cluster.scheduling.SchedulingPolicy` protocol;
@@ -30,7 +29,6 @@ a higher-priority arrival displaces it), and a ``cluster_run_start`` /
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 
@@ -88,12 +86,6 @@ class ClusterSimulator:
         self.calendar = ReservationCalendar(n_gpus, mem_capacity)
         self.queue: deque[JobRecord] = deque()
         self.events = EventQueue()
-        # Running jobs indexed by completion time: a lazily-pruned heap of
-        # [end_time, start_seq, record].  Completions pop the top instead
-        # of rebuilding a list (the seed's O(n^2) path); stale entries
-        # (already-completed records) are skipped when read.
-        self._running: list[tuple[float, int, JobRecord]] = []
-        self._start_seq = 0
         self._records: dict[int, JobRecord] = {}
         self._dispatch_scheduled = False
         self._usage: dict[str, float] = {}  # project -> committed GPU-hours
@@ -115,18 +107,6 @@ class ClusterSimulator:
     def policy_name(self) -> str:
         """The resolved policy's registry name (``"backfill"`` for EASY)."""
         return self._policy.name
-
-    def running_profile(self) -> list[tuple[float, int]]:
-        """Running jobs as ``(end_time, n_gpus)`` in completion order.
-
-        Ties keep start order (the heap carries a start sequence), which
-        matches the seed's stable sort over its running list.
-        """
-        return [
-            (end, record.job.n_gpus)
-            for end, _seq, record in sorted(self._running)
-            if record.state is JobState.RUNNING
-        ]
 
     def earliest_fit(self, n_gpus: int, duration: float,
                      mem: float = 0.0) -> float:
@@ -154,11 +134,6 @@ class ClusterSimulator:
         now = self.events.now
         record.state = JobState.COMPLETED
         self.pool.release(record.job.n_gpus, now, record.job.mem)
-        # Lazily prune the end-time heap: completions fire in end-time
-        # order, so the finished record is at (or near) the top.
-        running = self._running
-        while running and running[0][2].state is JobState.COMPLETED:
-            heapq.heappop(running)
         self.calendar.prune(now)
         # Simulation times are part of the deterministic payload: they are a
         # property of the workload and policy, not of the host that ran it.
@@ -189,8 +164,6 @@ class ClusterSimulator:
         record.start_time = now
         end = now + job.duration
         record.end_time = end  # final once COMPLETED fires
-        self._start_seq += 1
-        heapq.heappush(self._running, (end, self._start_seq, record))
         self.calendar.add(now, end, job.n_gpus, job.mem)
         if self._telemetry:
             obs.emit(

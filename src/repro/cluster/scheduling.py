@@ -23,13 +23,6 @@ Policies register under a name; :func:`get_policy` resolves names
 (including parameterized ``"hybrid-<k>"`` forms) and ready-made
 instances.  ``"backfill"`` — the seed's name for EASY — stays registered
 so the R1 tables are untouched.
-
-Byte-compatibility note: :class:`EasyBackfill` keeps the seed's exact
-shadow-time/extra-GPUs accounting (a per-job walk over the running set,
-which is bounded by pool capacity) rather than the calendar query, so
-FIFO/BACKFILL/EDF/FAIRSHARE schedules are bit-identical to the seed on
-every workload.  The calendar drives the new conservative/hybrid-k
-family, where no compatibility constraint exists.
 """
 
 from __future__ import annotations
@@ -159,13 +152,14 @@ class SchedulingPolicy:
                 if old is not None and start > old + 1e-12:
                     sim._emit_preempt(record, old, start)
                 reserved += 1
-            else:
-                if sim.pool.can_allocate(job.n_gpus, job.mem) and \
-                        self.can_backfill(record, overlay, now):
-                    del queue[index]
-                    sim._start(record)
-                    overlay.add(now, now + job.duration, job.n_gpus, job.mem)
-                    continue
+            elif not sim.pool.available:
+                break  # every job needs a GPU: nothing more can backfill
+            elif sim.pool.can_allocate(job.n_gpus, job.mem) and \
+                    self.can_backfill(record, overlay, now):
+                del queue[index]
+                sim._start(record)
+                overlay.add(now, now + job.duration, job.n_gpus, job.mem)
+                continue
             index += 1
         # A job that held a reservation but fell outside the window (the
         # queue was re-ordered past depth k) lost it outright.
@@ -212,58 +206,10 @@ class FairsharePolicy(SchedulingPolicy):
 
 
 class EasyBackfill(SchedulingPolicy):
-    """FIFO + EASY backfill (Lifka): only the head holds a reservation.
-
-    Keeps the seed scheduler's shadow-time/extra-GPUs walk verbatim so
-    schedules are bit-identical to the pre-engine implementation —
-    including its intra-timestamp accounting, where "extra" counts freed
-    GPUs job-by-job and stops at the first fit rather than folding all
-    completions at the shadow instant together.
-    """
+    """FIFO + EASY backfill (Lifka): only the head holds a reservation."""
 
     name = "backfill"  # the seed's registry name for EASY
     reserve_depth = 1
-
-    def _shadow_and_extra(self, sim: "ClusterSimulator",
-                          head: "JobRecord") -> tuple[float, int]:
-        """Earliest start for the head job and the spare GPUs at that time.
-
-        Walk running jobs in completion order accumulating freed GPUs
-        until the head fits; the surplus beyond the head's need is the
-        "extra" capacity backfill jobs may hold past the shadow time.
-        """
-        available = sim.pool.available
-        need = head.job.n_gpus
-        if available >= need:
-            return sim.now, available - need
-        for end, n_gpus in sim.running_profile():
-            available += n_gpus
-            if available >= need:
-                return end, available - need
-        raise RuntimeError(
-            f"job {head.job.job_id} requests {need} GPUs, pool has "
-            f"{sim.pool.capacity}"
-        )
-
-    def plan(self, sim: "ClusterSimulator") -> None:
-        now = sim.now
-        queue = sim.queue
-        head = queue[0]
-        shadow, extra = self._shadow_and_extra(sim, head)
-        index = 1
-        while index < len(queue):
-            record = queue[index]
-            n = record.job.n_gpus
-            if sim.pool.can_allocate(n, record.job.mem):
-                finishes_before_shadow = now + record.job.duration <= shadow
-                fits_in_extra = n <= extra
-                if finishes_before_shadow or fits_in_extra:
-                    del queue[index]
-                    sim._start(record)
-                    if not finishes_before_shadow:
-                        extra -= n
-                    continue  # same index now holds the next job
-            index += 1
 
 
 class ConservativeBackfill(SchedulingPolicy):
@@ -284,9 +230,9 @@ class ConservativeBackfill(SchedulingPolicy):
 class HybridBackfill(SchedulingPolicy):
     """The first ``k`` queued jobs hold reservations; the rest backfill.
 
-    ``k = 1`` is EASY-shaped (but calendar-exact), large ``k`` approaches
-    conservative; the sweet spot trades queue-head protection against
-    backfill opportunity (stmobo's hybrid-k).
+    ``k = 1`` is EASY, large ``k`` approaches conservative; the sweet
+    spot trades queue-head protection against backfill opportunity
+    (stmobo's hybrid-k).
     """
 
     reserve_depth: int

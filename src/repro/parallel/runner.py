@@ -77,6 +77,7 @@ import os
 import pickle
 import threading
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -108,8 +109,25 @@ _budget: Any = None
 _span_prefix = ""
 
 #: Pool-level failures after which the remaining cells run serially;
-#: by the determinism contract the results are the same.
+#: by the determinism contract the results are the same.  ``TypeError``
+#: and ``AttributeError`` are what pickling an unpicklable payload or
+#: result raises; a cell's own exceptions come back as :class:`_CellError`.
 _POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, TypeError, AttributeError)
+
+
+class _CellError(Exception):
+    """A pool cell's own exception, returned as its value.
+
+    A cell's exception must end the call, never read as a pool failure
+    that re-runs the cell here.  Its message is the worker's traceback.
+    """
+
+    def __init__(self, exc: Exception, trace: str) -> None:
+        super().__init__(exc, trace)
+        self.exc = exc
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 def visible_cpus() -> int:
@@ -155,13 +173,17 @@ def _invoke_timed(
     Timed inside the worker, so ``dur_s`` is the cell's execution time,
     neither gather latency nor the wait for a token; it and the pid travel
     in the volatile ``wall`` section of the cell events.  ``metrics`` is
-    what the cell recorded in this worker's registry, emptied first.
+    what the cell recorded in this worker's registry, emptied first.  A
+    cell that raises returns a :class:`_CellError` as its value.
     """
     metrics = obs.get_metrics()
     metrics.reset()
     with _budget if _budget is not None else contextlib.nullcontext():
         start = time.perf_counter()
-        value = _invoke(fn, config, seed)
+        try:
+            value = _invoke(fn, config, seed)
+        except Exception as exc:
+            value = _CellError(exc, traceback.format_exc())
         dur_s = time.perf_counter() - start
     return value, os.getpid(), dur_s, metrics
 
@@ -241,7 +263,8 @@ def _run_pool(
 
     The workers' cells run on ``budget``'s tokens (``None``: unmetered).
     A caller running on one of them lends it to the pool until the pool
-    has shut down.  Raises what the pool raises.
+    has shut down.  Raises what the pool raises, and a cell's exception
+    as the :class:`_CellError` that carries it.
     """
     if os.environ.get(obs_profile.PROFILE_FILE_ENV):
         # Workers inherit env at fork: stamp the span path enclosing this
@@ -266,6 +289,8 @@ def _run_pool(
         for future in futures:
             value, pid, dur_s, metrics = future.result()
             obs.get_metrics().merge(metrics)
+            if isinstance(value, _CellError):
+                raise value
             yield value, pid, dur_s
     except _POOL_FAILURES:
         broken = True
@@ -333,6 +358,8 @@ def _execute(
             for cell in _run_pool(fn, configs[done:], seeds[done:], size, budget):
                 done += 1
                 yield cell
+        except _CellError as failed:
+            raise failed.exc from failed
         except _POOL_FAILURES as exc:
             # Pool-level failure (unpicklable payload, dead worker): the
             # remaining cells run here, with identical results.

@@ -579,21 +579,6 @@ class TestSyntheticWorkload:
 
 
 class TestEngineScaling:
-    def test_running_profile_matches_active_jobs(self):
-        sim = ClusterSimulator(4)
-        sim.run([J(0, 2, 10.0, 0.0), J(1, 1, 20.0, 0.0)], until=5.0)
-        assert sim.running_profile() == [(10.0, 2), (20.0, 1)]
-
-    def test_running_heap_prunes_completed_entries(self):
-        # After everything completes the lazily-pruned heap must be empty
-        # (no unbounded growth across a long run).
-        from repro.cluster import synthetic_workload
-
-        sim = ClusterSimulator(8)
-        sim.run(synthetic_workload(500, 8, seed=11))
-        assert sim.running_profile() == []
-        assert len(sim._running) == 0
-
     def test_calendar_is_pruned_as_time_advances(self):
         from repro.cluster import synthetic_workload
 

@@ -140,6 +140,40 @@ class TestPmap:
         assert resolve_workers(1) == 1
 
 
+def logged_cell(config):
+    """Log one line per execution to a shared file; cell 3 raises."""
+    path, k = config
+    with open(path, "a") as log:
+        log.write(f"{k} {os.getpid()}\n")
+    if k == 3:
+        raise TypeError("cell 3 fails")
+    return k
+
+
+def call_cell(config):
+    return config()
+
+
+class TestCellExceptions:
+    """A cell's own exception ends the call; a payload failure does not."""
+
+    @pytest.mark.parametrize("workers", [2, None], ids=["explicit", "auto"])
+    def test_a_raising_pool_cell_runs_once(self, workers, eager_auto, tmp_path):
+        log = tmp_path / "executions.log"
+        with pytest.raises(TypeError, match="cell 3 fails"):
+            pmap(logged_cell, [(str(log), k) for k in range(4)], workers=workers)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(k) for k, _ in runs) == [0, 1, 2, 3]
+        assert str(os.getpid()) not in {pid for _, pid in runs}
+
+    def test_an_unpicklable_payload_still_falls_back_to_serial(self):
+        with obs.capture_events() as events:
+            out = pmap(call_cell, [int, int, lambda: 7], workers=2)
+        assert out == [0, 0, 7]
+        wall = _finish(events)
+        assert wall["mode"] == "serial" and wall["fallback"] is not None
+
+
 class TestAutoWorkers:
     """``workers=None``: serial until a call proves long, then a pool."""
 
