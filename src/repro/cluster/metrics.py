@@ -3,8 +3,10 @@
 The contention story is told by queue-wait statistics near the deadline:
 mean and p95 wait, deadline misses, and total lateness.  Utilization and
 makespan bound how much a staging policy "pays" for decongestion.
-:func:`contention` serves both R1 (fed the simulator's job records) and
-``repro trace`` (fed the same jobs rebuilt from a run's job events).
+:func:`contention` folds a simulator run's job records once, in
+:meth:`~repro.cluster.scheduler.ClusterSimulator.contention`; R1 reports
+that fold, and ``repro trace`` reads it from the run's
+``cluster_run_finish`` record.
 """
 
 from __future__ import annotations

@@ -19,16 +19,18 @@ A policy is named by its registry name (``"fifo"``, ``"backfill"``,
 :func:`repro.cluster.scheduling.get_policy`, or passed as a policy
 instance.
 
-The simulator narrates itself through :mod:`repro.obs`: ``job_submit`` /
-``job_start`` / ``job_finish`` events carry the deterministic simulation
-times, ``job_preempt`` records a reservation revocation (conservative and
+The simulator reports through :mod:`repro.obs` once per ``run``, not
+once per job: ``cluster_run_finish`` carries the run's contention fold
+(:meth:`ClusterSimulator.contention`, in deterministic simulation
+hours), which is what ``repro trace`` shows.  The one per-job event is
+the rare ``job_preempt``, a reservation revocation (conservative and
 hybrid-k under non-FIFO ordering may push a held reservation later when
-a higher-priority arrival displaces it), and a ``cluster_run_start`` /
-``cluster_run_finish`` pair frames each ``run``.
+a higher-priority arrival displaces it).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections import deque
 
@@ -36,6 +38,7 @@ from repro import obs
 from repro.cluster.calendar import ReservationCalendar
 from repro.cluster.engine import EventQueue
 from repro.cluster.jobs import Job, JobRecord, JobState
+from repro.cluster.metrics import Contention, contention
 from repro.cluster.resources import GPUPool
 from repro.cluster.scheduling import SchedulingPolicy, get_policy
 
@@ -118,16 +121,6 @@ class ClusterSimulator:
 
     def _submit(self, record: JobRecord) -> None:
         self.queue.append(record)
-        if self._telemetry:
-            obs.emit(
-                "job_submit",
-                {
-                    "job_id": record.job.job_id,
-                    "project": record.job.project,
-                    "n_gpus": record.job.n_gpus,
-                    "t": self.events.now,
-                },
-            )
         self._request_dispatch()
 
     def _complete(self, record: JobRecord) -> None:
@@ -135,10 +128,6 @@ class ClusterSimulator:
         record.state = JobState.COMPLETED
         self.pool.release(record.job.n_gpus, now, record.job.mem)
         self.calendar.prune(now)
-        # Simulation times are part of the deterministic payload: they are a
-        # property of the workload and policy, not of the host that ran it.
-        if self._telemetry:
-            obs.emit("job_finish", {"job_id": record.job.job_id, "t": now})
         self._request_dispatch()
 
     def _request_dispatch(self) -> None:
@@ -165,15 +154,6 @@ class ClusterSimulator:
         end = now + job.duration
         record.end_time = end  # final once COMPLETED fires
         self.calendar.add(now, end, job.n_gpus, job.mem)
-        if self._telemetry:
-            obs.emit(
-                "job_start",
-                {
-                    "job_id": job.job_id,
-                    "t": now,
-                    "wait": now - job.submit_time,
-                },
-            )
         self.events.schedule(
             end,
             lambda r=record: self._complete(r),
@@ -221,20 +201,11 @@ class ClusterSimulator:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate job_id in workload")
         t0 = time.perf_counter()
-        # Telemetry routing is sampled once per run: the DES fires millions
-        # of events for large workloads and skipping payload construction
-        # when no sink is active is a measurable win.
+        # Telemetry routing is sampled once per run: job_preempt payloads
+        # and the contention fold are built only when a sink will get them.
         self._telemetry = obs.enabled()
         self.n_preempts = 0
         self._policy.reset()
-        obs.emit(
-            "cluster_run_start",
-            {
-                "n_jobs": len(jobs),
-                "n_gpus": self.pool.capacity,
-                "policy": self._policy.name,
-            },
-        )
         for job in jobs:
             if job.n_gpus > self.pool.capacity:
                 raise ValueError(
@@ -256,11 +227,15 @@ class ClusterSimulator:
                 label=f"submit:{job.job_id}",
             )
         self.events.run(until=until)
-        obs.emit(
-            "cluster_run_finish",
-            {"n_jobs": len(jobs), "makespan": self.makespan},
-            wall={"wall_s": time.perf_counter() - t0},
-        )
+        if self._telemetry:
+            # Simulation times are part of the deterministic payload: they
+            # are a property of the workload and policy, not of the host.
+            obs.emit(
+                "cluster_run_finish",
+                {"n_jobs": len(jobs), "makespan": self.makespan,
+                 "contention": dataclasses.asdict(self.contention())},
+                wall={"wall_s": time.perf_counter() - t0},
+            )
         metrics = obs.get_metrics()
         metrics.counter("cluster.jobs").inc(len(jobs))
         metrics.gauge("cluster.makespan").set(self.makespan)
@@ -269,6 +244,26 @@ class ClusterSimulator:
     def project_usage(self) -> dict[str, float]:
         """Committed GPU-hours per project (grows when a job starts)."""
         return dict(self._usage)
+
+    def contention(self) -> Contention:
+        """Fold the jobs submitted so far, in ``job_id`` order, into
+        :class:`~repro.cluster.metrics.Contention`.
+
+        A run cut short by ``until`` counts only the jobs whose submission
+        fired, and a job still running has no end yet.
+        """
+        now = self.now
+        return contention(
+            [
+                (r.job.submit_time, r.start_time,
+                 r.end_time if r.state is JobState.COMPLETED else None,
+                 r.job.n_gpus)
+                for _, r in sorted(self._records.items())
+                if r.job.submit_time <= now
+            ],
+            self.pool.capacity, policy=self.policy_name,
+            n_preempts=self.n_preempts,
+        )
 
     @property
     def makespan(self) -> float:

@@ -62,7 +62,8 @@ class SchedulingPolicy:
     Attributes
     ----------
     name:
-        Registry identity, also stamped into ``cluster_run_start`` events.
+        Registry identity, also stamped into the contention fold that
+        ``cluster_run_finish`` carries.
     reserve_depth:
         How many queued jobs hold calendar reservations during
         :meth:`plan`: ``0`` disables backfill entirely, ``k`` reserves the

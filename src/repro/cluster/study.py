@@ -10,7 +10,6 @@ import time
 
 from repro import obs
 from repro.cluster.metrics import (
-    contention,
     evaluate_schedule,
     fairness_spread,
     tail_utilization,
@@ -53,10 +52,10 @@ def run_policy_traced(times, n_gpus: int = 6,
                       projects=None):
     """Like :func:`run_policy`, plus contention analytics.
 
-    :func:`repro.cluster.metrics.contention` folds the simulator's job
-    records into utilization / queue-depth analytics.  ``repro trace``
-    applies the same function to the job events of a recorded run, so
-    both report the same numbers, and telemetry being on or off changes
+    :meth:`ClusterSimulator.contention` folds the simulator's job records
+    into utilization / queue-depth analytics.  ``repro trace`` reads the
+    same fold from the run's ``cluster_run_finish`` record, so both
+    report the same numbers, and telemetry being on or off changes
     neither.
 
     Returns ``(ScheduleMetrics, Contention)``.
@@ -65,11 +64,7 @@ def run_policy_traced(times, n_gpus: int = 6,
     jobs = generate_workload(projects, submit_times=times, seed=seed)
     sim = ClusterSimulator(n_gpus, policy=policy)
     records = sim.run(jobs)
-    return evaluate_schedule(records), contention(
-        [(r.job.submit_time, r.start_time, r.end_time, r.job.n_gpus)
-         for r in records],
-        n_gpus, policy=sim.policy_name, n_preempts=sim.n_preempts,
-    )
+    return evaluate_schedule(records), sim.contention()
 
 
 def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
@@ -78,9 +73,9 @@ def r1_submission_policies(n_gpus: int = 6, submit_seed: int = 1,
 
     Besides the queue-wait metrics the rendered table shows, each
     policy's values carry contention analytics (GPU utilization,
-    tail-window utilization, peak queue depth) computed from the
-    simulator's job records — the numbers ``repro trace`` derives from a
-    recorded run's job events.
+    tail-window utilization, peak queue depth): the simulator's own fold,
+    which ``repro trace`` reads from a recorded run's
+    ``cluster_run_finish`` records.
     """
     projects = default_reu_projects()
     plans = {

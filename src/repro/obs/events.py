@@ -286,9 +286,9 @@ def get_logger() -> EventLog | None:
 def enabled() -> bool:
     """True when an :func:`emit` would currently reach a sink.
 
-    Hot loops (the cluster DES fires millions of events per run) use this
-    as a pre-flight check so they can skip building payload dicts
-    entirely when telemetry is off.
+    Callers whose payload is costly to build (the cluster DES's
+    contention fold) use this as a pre-flight check, so they skip
+    building it when telemetry is off.
     """
     return get_logger() is not None
 

@@ -487,46 +487,17 @@ class TraceReader(_RunStreamReader):
 
     def cluster_runs(self) -> list[Contention]:
         """One :class:`~repro.cluster.metrics.Contention` per simulated
-        scheduler run: its jobs, rebuilt from the job events, folded by
-        the same :func:`~repro.cluster.metrics.contention` R1 uses."""
-        from repro.cluster.metrics import contention
+        scheduler run: the simulator's own fold, read from its
+        ``cluster_run_finish`` record (streams that predate the fold carry
+        none, and show no runs)."""
+        from repro.cluster.metrics import Contention
 
-        runs = []
-        frame: dict[str, Any] | None = None
-        for event in self.events:
-            kind = event["kind"]
-            payload = event.get("payload", {})
-            if kind == "cluster_run_start":
-                frame = {
-                    "n_gpus": int(payload.get("n_gpus", 0)),
-                    "policy": str(payload.get("policy", "?")),
-                    "submit": {}, "start": {}, "end": {},
-                    "n_preempts": 0,
-                }
-            elif frame is None:
-                continue
-            elif kind == "job_submit":
-                frame["submit"][payload["job_id"]] = (
-                    float(payload["t"]), int(payload.get("n_gpus", 1))
-                )
-            elif kind == "job_start":
-                frame["start"][payload["job_id"]] = float(payload["t"])
-            elif kind == "job_finish":
-                frame["end"][payload["job_id"]] = float(payload["t"])
-            elif kind == "job_preempt":
-                frame["n_preempts"] += 1
-            elif kind == "cluster_run_finish":
-                jobs = [
-                    (submit, frame["start"].get(job_id),
-                     frame["end"].get(job_id), gpus)
-                    for job_id, (submit, gpus) in sorted(frame["submit"].items())
-                ]
-                runs.append(contention(
-                    jobs, frame["n_gpus"], policy=frame["policy"],
-                    n_preempts=frame["n_preempts"],
-                ))
-                frame = None
-        return runs
+        return [
+            Contention(**event["payload"]["contention"])
+            for event in self.events
+            if event["kind"] == "cluster_run_finish"
+            and "contention" in event["payload"]
+        ]
 
     # -- cache attribution ------------------------------------------------
 

@@ -482,7 +482,8 @@ def test_fanned_out_request_replays_the_serial_event_stream(forced_pool, tmp_pat
         )
     serial, auto = runs["serial"], runs["auto"]
     assert auto[0] == serial[0]
-    assert any('"kind": "job_submit"' in line for line in auto[0])
+    assert any('"kind": "cluster_run_finish"' in line and '"contention"' in line
+               for line in auto[0])
     assert auto[1] == serial[1]
     assert auto[2] == serial[2]
     assert set(serial[3].values()) == {os.getpid()}

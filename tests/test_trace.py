@@ -269,6 +269,48 @@ class TestClusterContention:
             assert from_records.n_preempts > 0
 
 
+class TestClusterRunRecord:
+    """The simulator reports once per run, not once per job."""
+
+    def test_a_truncated_run_counts_submitted_jobs_and_completed_work(self):
+        from repro.cluster.jobs import JobState
+        from repro.cluster.scheduler import ClusterSimulator
+        from repro.cluster.workload import synthetic_workload
+
+        jobs = synthetic_workload(300, 8, mix="mixed", seed=3)
+        until = sorted(job.submit_time for job in jobs)[150]
+        with obs.capture_events() as events:
+            records = ClusterSimulator(8, policy="backfill").run(
+                jobs, until=until
+            )
+        (run,) = TraceReader.from_records(events).cluster_runs()
+        completed = [r for r in records if r.state is JobState.COMPLETED]
+        running = [r for r in records if r.state is JobState.RUNNING]
+        assert completed and running
+        assert run.n_jobs == sum(job.submit_time <= until for job in jobs)
+        assert run.n_jobs < len(jobs)
+        assert run.busy_gpu_hours == pytest.approx(
+            sum(r.job.n_gpus * (r.end_time - r.start_time) for r in completed)
+        )
+        assert run.makespan == max(r.end_time for r in completed)
+
+    @pytest.mark.parametrize("policy, fifo_ordered", [
+        ("fifo", True), ("backfill", True), ("conservative-edf", False),
+    ])
+    def test_one_record_per_run(self, policy, fifo_ordered):
+        from repro.cluster.scheduler import ClusterSimulator
+        from repro.cluster.workload import synthetic_workload
+
+        sim = ClusterSimulator(8, policy=policy)
+        with obs.capture_events() as events:
+            sim.run(synthetic_workload(300, 8, mix="mixed", seed=3))
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("cluster_run_finish") == 1
+        assert set(kinds) <= {"cluster_run_finish", "job_preempt"}
+        if fifo_ordered:
+            assert "job_preempt" not in kinds
+
+
 class TestCacheAttribution:
     def test_counts_bucketed_by_experiment_frame(self):
         events = [
