@@ -1,21 +1,12 @@
 """Scheduling-engine throughput: simulated jobs per wall second, per policy.
 
-The engine rebuild (a reservation calendar of future capacity, with
-completions as events) trades the seed's O(n^2) completion path for
-near-linear event processing; this bench is the receipt.  It drives :func:`synthetic_workload`'s
+A standalone reporter (``python benchmarks/bench_cluster.py``), default
+up to one million jobs.  It drives :func:`synthetic_workload`'s
 steady-state arrival stream — bounded queue depth, so the measurement
 isolates per-job engine cost — through every policy family member and
-reports jobs/sec at increasing workload sizes.
-
-Two entry points:
-
-* **pytest** (CI): modest sizes, asserts the throughput floor and the
-  sub-linear degradation contract alongside the other benchmarks.
-* **standalone** (``python benchmarks/bench_cluster.py``): the full
-  sweep, default up to one million jobs, with ``--record``/``--against``
-  wiring into the same :class:`repro.obs.baseline.BaselineStore` file
-  the ``repro bench`` CI gate uses (tier ``cluster-throughput``, keys
-  ``<policy>@<n_jobs>``).
+prints jobs/s beside calendar segments (scanned plus copied) per job,
+which stays flat as the stream grows.  It gates nothing: exact work
+counts are pinned in ``tests/test_cluster_opcounts.py``.
 """
 
 from __future__ import annotations
@@ -24,17 +15,13 @@ import argparse
 import sys
 import time
 
-from conftest import emit
-
 from repro import obs
 from repro.cluster import ClusterSimulator, synthetic_workload
 from repro.exp.reporting import rows_table
-from repro.obs.baseline import BaselineStore
 
 N_GPUS = 32
 POLICIES = ("fifo", "backfill", "edf", "fairshare", "conservative",
             "hybrid-4")
-BASELINE_TIER = "cluster-throughput"
 
 
 def measure(policy: str, n_jobs: int, n_gpus: int = N_GPUS,
@@ -47,49 +34,25 @@ def measure(policy: str, n_jobs: int, n_gpus: int = N_GPUS,
         records = sim.run(jobs)
         wall = time.perf_counter() - t0
     assert len(records) == n_jobs
+    ops = sim.op_counts()
     return {
         "policy": policy,
         "n_jobs": n_jobs,
         "wall_s": wall,
         "jobs_per_s": n_jobs / wall if wall > 0 else 0.0,
+        "segments_per_job":
+            (ops["segments_scanned"] + ops["segments_copied"]) / n_jobs,
     }
 
 
-def throughput_table(rows: list[dict]) -> str:
+def throughput_table(rows: list[dict], n_gpus: int) -> str:
     return rows_table(
-        ["policy", "jobs", "wall s", "jobs/s"],
-        [[r["policy"], r["n_jobs"], r["wall_s"], round(r["jobs_per_s"])]
+        ["policy", "jobs", "wall s", "jobs/s", "segments/job"],
+        [[r["policy"], r["n_jobs"], r["wall_s"], round(r["jobs_per_s"]),
+          r["segments_per_job"]]
          for r in rows],
-        title=f"cluster engine throughput ({N_GPUS} GPUs, mixed stream)",
+        title=f"cluster engine throughput ({n_gpus} GPUs, mixed stream)",
     )
-
-
-# -- pytest entry points ----------------------------------------------------
-
-
-def test_policy_throughput_floor(benchmark):
-    """Every policy family member clears a conservative jobs/sec floor."""
-    rows = benchmark.pedantic(
-        lambda: [measure(p, 5_000) for p in POLICIES], rounds=1, iterations=1
-    )
-    emit(throughput_table(rows))
-    # ~20k jobs/s locally; 500/s is the "something went quadratic" alarm,
-    # not a performance target, so CI hardware variance cannot trip it.
-    for row in rows:
-        assert row["jobs_per_s"] > 500, row
-
-
-def test_throughput_degrades_sublinearly(benchmark):
-    """10x the jobs must cost well under 10x the wall time."""
-    small, large = benchmark.pedantic(
-        lambda: (measure("backfill", 5_000), measure("backfill", 50_000)),
-        rounds=1, iterations=1,
-    )
-    emit(throughput_table([small, large]))
-    assert large["jobs_per_s"] > small["jobs_per_s"] / 4.0
-
-
-# -- standalone sweep -------------------------------------------------------
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,12 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         help="cap per-policy sizes; only the reference policy (backfill) "
              "runs the sizes above it",
     )
-    parser.add_argument("--record", metavar="PATH",
-                        help="record medians into this baseline store")
-    parser.add_argument("--against", metavar="PATH",
-                        help="compare against this baseline store")
-    parser.add_argument("--threshold", type=float, default=2.0,
-                        help="regression threshold for --against")
     args = parser.parse_args(argv)
 
     rows: list[dict] = []
@@ -123,28 +80,13 @@ def main(argv: list[str] | None = None) -> int:
             rows.append(row)
             print(
                 f"{policy:>14} {n_jobs:>9} jobs: {row['wall_s']:8.2f}s "
-                f"({row['jobs_per_s']:>9.0f} jobs/s)",
+                f"({row['jobs_per_s']:>9.0f} jobs/s, "
+                f"{row['segments_per_job']:6.2f} segments/job)",
                 flush=True,
             )
     print()
-    print(throughput_table(rows))
-
-    timings = {f"{r['policy']}@{r['n_jobs']}": [r["wall_s"]] for r in rows}
-    status = 0
-    if args.against:
-        report = BaselineStore.load(args.against).compare(
-            BASELINE_TIER, timings, threshold=args.threshold
-        )
-        print()
-        print(report.to_table())
-        status = 0 if report.passed else 1
-    if args.record:
-        store = BaselineStore.load(args.record)
-        for key, samples in timings.items():
-            store.record(BASELINE_TIER, key, samples)
-        store.save()
-        print(f"\nrecorded {len(timings)} baselines to {args.record}")
-    return status
+    print(throughput_table(rows, args.n_gpus))
+    return 0
 
 
 if __name__ == "__main__":

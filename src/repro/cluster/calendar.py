@@ -28,10 +28,25 @@ constrains placement.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 from repro.cluster.resources import MEM_EPSILON
 
-__all__ = ["ReservationCalendar"]
+__all__ = ["CalendarOps", "ReservationCalendar"]
+
+
+@dataclass(slots=True)
+class CalendarOps:
+    """Work counts of one calendar and every copy made from it, so the
+    overlays policies plan on add to the engine's totals."""
+
+    earliest_fit_calls: int = 0
+    fits_calls: int = 0
+    add_calls: int = 0
+    copy_calls: int = 0
+    prune_calls: int = 0
+    segments_scanned: int = 0  # visited by earliest_fit and fits
+    segments_copied: int = 0
 
 
 class ReservationCalendar:
@@ -59,6 +74,7 @@ class ReservationCalendar:
         self._times: list[float] = [0.0]
         self._gpus: list[int] = [0]
         self._mem: list[float] = [0.0]
+        self.ops = CalendarOps()  # shared with every copy
 
     def __len__(self) -> int:
         return len(self._times)
@@ -66,12 +82,16 @@ class ReservationCalendar:
     def copy(self) -> "ReservationCalendar":
         """An independent snapshot (reservation overlays plan on a copy,
         so the committed running-jobs timeline is never perturbed)."""
+        ops = self.ops
+        ops.copy_calls += 1
+        ops.segments_copied += len(self._times)
         dup = ReservationCalendar.__new__(ReservationCalendar)
         dup.capacity_gpus = self.capacity_gpus
         dup.capacity_mem = self.capacity_mem
         dup._times = self._times.copy()
         dup._gpus = self._gpus.copy()
         dup._mem = self._mem.copy()
+        dup.ops = ops
         return dup
 
     # -- breakpoint maintenance ------------------------------------------
@@ -97,6 +117,7 @@ class ReservationCalendar:
         """Commit ``gpus``/``mem`` over ``[start, end)``."""
         if end <= start:
             raise ValueError(f"empty interval [{start}, {end})")
+        self.ops.add_calls += 1
         i = self._split(start)
         j = self._split(end)
         for k in range(i, j):
@@ -113,6 +134,7 @@ class ReservationCalendar:
         The segment covering ``now`` becomes the new origin, so the
         timeline only ever holds the *future* capacity profile.
         """
+        self.ops.prune_calls += 1
         i = bisect_right(self._times, now) - 1
         if i > 0:
             del self._times[:i]
@@ -150,13 +172,16 @@ class ReservationCalendar:
         end = start + duration
         times = self._times
         n = len(times)
-        k = self._segment_at(start)
+        first = k = self._segment_at(start)
         while True:
-            if not self._segment_fits(k, gpus, mem):
-                return False
+            fits = self._segment_fits(k, gpus, mem)
             k += 1
-            if k >= n or times[k] >= end:
-                return True
+            if not fits or k >= n or times[k] >= end:
+                break
+        ops = self.ops
+        ops.fits_calls += 1
+        ops.segments_scanned += k - first
+        return fits
 
     def earliest_fit(self, gpus: int, duration: float, not_before: float,
                      mem: float = 0.0) -> float:
@@ -174,7 +199,7 @@ class ReservationCalendar:
         times = self._times
         n = len(times)
         candidate = not_before
-        k = self._segment_at(not_before)
+        first = k = self._segment_at(not_before)
         window_end = candidate + duration
         while True:
             if not self._segment_fits(k, gpus, mem):
@@ -187,8 +212,12 @@ class ReservationCalendar:
                 continue
             # Segment k fits; does the window extend past it?
             if k + 1 >= n or times[k + 1] >= window_end:
-                return candidate
+                break
             k += 1
+        ops = self.ops
+        ops.earliest_fit_calls += 1
+        ops.segments_scanned += k - first + 1
+        return candidate
 
     def as_profile(self) -> list[tuple[float, int, float]]:
         """The timeline as ``(time, gpus_used, mem_used)`` rows (debugging)."""

@@ -95,6 +95,8 @@ class ClusterSimulator:
         self._telemetry = False  # sampled per run()
         # Reservations revoked or pushed back during the last run().
         self.n_preempts = 0
+        self.n_plans = 0
+        self._fold: tuple[int, Contention] | None = None
 
     @property
     def now(self) -> float:
@@ -187,6 +189,7 @@ class ClusterSimulator:
                                           queue[0].job.mem):
             self._start(queue.popleft())
         if queue:
+            self.n_plans += 1
             policy.plan(self)
 
     # -- public API ------------------------------------------------------
@@ -205,6 +208,7 @@ class ClusterSimulator:
         # and the contention fold are built only when a sink will get them.
         self._telemetry = obs.enabled()
         self.n_preempts = 0
+        self._fold = None
         self._policy.reset()
         for job in jobs:
             if job.n_gpus > self.pool.capacity:
@@ -250,20 +254,32 @@ class ClusterSimulator:
         :class:`~repro.cluster.metrics.Contention`.
 
         A run cut short by ``until`` counts only the jobs whose submission
-        fired, and a job still running has no end yet.
+        fired, and a job still running has no end yet.  The fold is made
+        once per state: until another event fires, a second call (e.g.
+        after ``run`` folded for ``cluster_run_finish``) returns it again.
         """
-        now = self.now
-        return contention(
-            [
-                (r.job.submit_time, r.start_time,
-                 r.end_time if r.state is JobState.COMPLETED else None,
-                 r.job.n_gpus)
-                for _, r in sorted(self._records.items())
-                if r.job.submit_time <= now
-            ],
-            self.pool.capacity, policy=self.policy_name,
-            n_preempts=self.n_preempts,
-        )
+        now, fired = self.now, self.events.events_fired
+        if self._fold is None or self._fold[0] != fired:
+            self._fold = (fired, contention(
+                [
+                    (r.job.submit_time, r.start_time,
+                     r.end_time if r.state is JobState.COMPLETED else None,
+                     r.job.n_gpus)
+                    for _, r in sorted(self._records.items())
+                    if r.job.submit_time <= now
+                ],
+                self.pool.capacity, policy=self.policy_name,
+                n_preempts=self.n_preempts,
+            ))
+        return self._fold[1]
+
+    def op_counts(self) -> dict[str, int]:
+        """The engine's work since construction: the calendar's
+        :attr:`~ReservationCalendar.ops`, ``plan_calls`` and
+        ``events_fired``."""
+        return {**dataclasses.asdict(self.calendar.ops),
+                "plan_calls": self.n_plans,
+                "events_fired": self.events.events_fired}
 
     @property
     def makespan(self) -> float:

@@ -4,9 +4,12 @@ These SHA-256 fingerprints were captured from the pre-engine simulator
 (enum dispatch, linear running-list) over the seed workloads: every
 (submission plan, legacy policy, pool size) cell hashes the full
 ``job_id start end`` schedule.  The rebuilt engine — reservation
-calendar, end-time heap, pluggable policies — must reproduce each one
-byte for byte.  A mismatch here means observable scheduling behaviour
-changed, which is exactly what the refactor promised not to do.
+calendar, one reservation sweep at every policy depth, pluggable
+policies — must reproduce each one byte for byte.  A mismatch here
+means observable scheduling behaviour changed, which is exactly what
+the refactor promised not to do.  What the engine's decisions cost is
+pinned separately, as exact operation counts, in
+``test_cluster_opcounts.py``.
 
 Pools 2 and 3 are included because EASY backfill only diverges from FIFO
 when the pool is tight (at 6 GPUs the seed workloads happen to schedule
