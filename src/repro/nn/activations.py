@@ -68,28 +68,54 @@ class Tanh(Layer):
 
 
 class GELU(Layer):
-    """Gaussian error linear unit (tanh approximation, as used in BERT)."""
+    """Gaussian error linear unit (tanh approximation, as used in BERT).
+
+    Both passes apply the reference formulas' ufuncs to the same operands
+    in the same order, but into buffers of their own instead of a fresh
+    temporary per operator, so the results are bit-identical to them.
+    """
 
     _C = np.sqrt(2.0 / np.pi)
 
     def __init__(self) -> None:
         self._x: np.ndarray | None = None
         self._t: np.ndarray | None = None
+        self._half_x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self._x = x
-        # x*x*x instead of x**3: np.power is an order of magnitude slower
-        # than two multiplies and was the single hottest op in the RL smoke
-        # profile.  tanh is cached so backward never recomputes it.
-        inner = self._C * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
+        # 0.5 * x * (1 + tanh(C * (x + 0.044715 * (x * x * x)))).  x*x*x
+        # instead of x**3: np.power is an order of magnitude slower than
+        # two multiplies.  tanh and 0.5 * x are cached for backward.
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= self._C
+        np.tanh(t, out=t)
         self._t = t
-        return 0.5 * x * (1.0 + t)
+        self._half_x = half_x = 0.5 * x
+        out = 1.0 + t
+        out *= half_x
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None or self._t is None:
+        if self._x is None or self._t is None or self._half_x is None:
             raise RuntimeError("backward called before forward")
         x, t = self._x, self._t
-        dinner = self._C * (1.0 + 0.134145 * (x * x))
-        return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        # grad * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner), with
+        # dinner = C * (1 + 0.134145 * (x * x)).
+        dinner = x * x
+        dinner *= 0.134145
+        dinner += 1.0
+        dinner *= self._C
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= self._half_x
+        slope *= dinner
+        out = np.add(1.0, t, out=dinner)
+        out *= 0.5
+        out += slope
+        out *= grad
+        return out

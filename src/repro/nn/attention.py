@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.activations import GELU
 from repro.nn.layers import Dense, Layer, LayerNorm, Parameter
-from repro.nn.losses import softmax
+from repro.nn.losses import exp_normalize
 
 __all__ = ["PositionalEncoding", "MultiHeadSelfAttention", "TransformerBlock"]
 
@@ -88,8 +88,11 @@ class MultiHeadSelfAttention(Layer):
         scale = 1.0 / np.sqrt(self.head_dim)
         # All contractions are batched GEMMs over (b, h) slices — matmul
         # stays on the BLAS fast path and needs no per-call path search.
-        scores = (q @ self._swap(k)) * scale
-        attn = softmax(scores, axis=-1)
+        scores = q @ self._swap(k)
+        scores *= scale
+        # The softmax of `scores`, computed in their own buffer.
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        attn = exp_normalize(scores, -1)
         ctx = attn @ v
         self._cache = (q, k, v, attn, scale)
         return self.wo(self._merge(ctx))
@@ -101,14 +104,17 @@ class MultiHeadSelfAttention(Layer):
         dctx = self._split(self.wo.backward(grad))
         dattn = dctx @ self._swap(v)
         dv = self._swap(attn) @ dctx
-        # Softmax Jacobian applied row-wise.
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        # Softmax Jacobian applied row-wise:
+        # attn * (dattn - sum(dattn * attn)) * scale, in dattn's buffer.
+        dscores = dattn
+        dscores -= np.add.reduce(dattn * attn, axis=-1, keepdims=True)
+        dscores *= attn
         dscores *= scale
         dq = dscores @ k
         dk = self._swap(dscores) @ q
         dx = self.wq.backward(self._merge(dq))
-        dx = dx + self.wk.backward(self._merge(dk))
-        dx = dx + self.wv.backward(self._merge(dv))
+        dx += self.wk.backward(self._merge(dk))
+        dx += self.wv.backward(self._merge(dv))
         return dx
 
     def parameters(self) -> list[Parameter]:
@@ -140,16 +146,21 @@ class TransformerBlock(Layer):
         self.fc2 = Dense(dim * mlp_ratio, dim, seed=base + 11)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attn(self.ln1(x))
-        return x + self.fc2(self.act(self.fc1(self.ln2(x))))
+        # Each sublayer returns a fresh array: the residual adds into it.
+        h = self.attn(self.ln1(x))
+        h += x
+        out = self.fc2(self.act(self.fc1(self.ln2(h))))
+        out += h
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g_mlp = self.ln2.backward(
             self.fc1.backward(self.act.backward(self.fc2.backward(grad)))
         )
-        grad = grad + g_mlp
-        g_attn = self.ln1.backward(self.attn.backward(grad))
-        return grad + g_attn
+        g_mlp += grad
+        g_attn = self.ln1.backward(self.attn.backward(g_mlp))
+        g_attn += g_mlp
+        return g_attn
 
     def parameters(self) -> list[Parameter]:
         return (

@@ -37,7 +37,7 @@ from repro.nn.kernels import (
     im2col_1d,
     im2col_2d,
 )
-from repro.nn.layers import Layer, Parameter, he_normal
+from repro.nn.layers import Layer, Parameter, he_normal, mean_over
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -482,8 +482,7 @@ class GlobalAveragePool(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
-        axes = tuple(range(1, x.ndim - 1))
-        return x.mean(axis=axes)
+        return mean_over(x, tuple(range(1, x.ndim - 1)))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._shape is None:
@@ -491,6 +490,4 @@ class GlobalAveragePool(Layer):
         shape = self._shape
         spatial = int(np.prod(shape[1:-1]))
         expand = grad.reshape(shape[0], *(1,) * (len(shape) - 2), shape[-1])
-        out = np.empty(shape, dtype=grad.dtype)
-        np.copyto(out, expand / spatial)
-        return out
+        return np.divide(expand, spatial, out=np.empty(shape, dtype=grad.dtype))

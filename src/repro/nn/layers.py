@@ -9,6 +9,7 @@ C-contiguous unless a layer documents otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,20 @@ def he_normal(
 ) -> np.ndarray:
     """He normal initialization, appropriate ahead of ReLU nonlinearities."""
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+
+
+def mean_over(x: np.ndarray, axis: int | tuple[int, ...], *,
+              keepdims: bool = False) -> np.ndarray:
+    """``x.mean(axis, keepdims=keepdims)`` without np.mean's Python wrapper.
+
+    The same ``np.add.reduce`` divided in place by the same count, so the
+    result is bit-identical; the wrapper costs more than the reduction on
+    the small arrays the layers normalize.
+    """
+    axes = (axis,) if isinstance(axis, int) else axis
+    total = np.add.reduce(x, axis=axis, keepdims=keepdims)
+    total /= math.prod(x.shape[a] for a in axes)
+    return total
 
 
 class Layer:
@@ -148,7 +163,7 @@ class Dense(Layer):
         g2 = grad.reshape(-1, self.out_features)
         self.weight.grad += x2.T @ g2
         if self.bias is not None:
-            self.bias.grad += g2.sum(axis=0)
+            self.bias.grad += np.add.reduce(g2, axis=0)
         return (g2 @ self.weight.value.T).reshape(x.shape)
 
     def parameters(self) -> list[Parameter]:
@@ -318,35 +333,46 @@ class LayerNorm(Layer):
         self.eps = float(eps)
         self.gamma = Parameter("gamma", np.ones(dim))
         self.beta = Parameter("beta", np.zeros(dim))
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"LayerNorm expected last dim {self.dim}, got {x.shape}")
-        mean = x.mean(axis=-1, keepdims=True)
+        mean = mean_over(x, -1, keepdims=True)
         centered = x - mean
         # One pass over the centered values; np.var computes the identical
         # mean(centered**2), but re-derives `centered` internally.
-        var = np.mean(centered * centered, axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = centered * inv_std
-        self._cache = (xhat, inv_std, x)
-        return xhat * self.gamma.value + self.beta.value
+        square = centered * centered
+        var = mean_over(square, -1, keepdims=True)
+        var += self.eps
+        inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+        xhat = centered
+        xhat *= inv_std
+        self._cache = (xhat, inv_std)
+        out = np.multiply(xhat, self.gamma.value, out=square)
+        out += self.beta.value
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        xhat, inv_std, _ = self._cache
+        xhat, inv_std = self._cache
         g2 = grad.reshape(-1, self.dim)
         xh2 = xhat.reshape(-1, self.dim)
-        self.gamma.grad += (g2 * xh2).sum(axis=0)
-        self.beta.grad += g2.sum(axis=0)
-        # Standard layernorm backward in normalized coordinates.
+        self.gamma.grad += np.add.reduce(g2 * xh2, axis=0)
+        self.beta.grad += np.add.reduce(g2, axis=0)
+        # Standard layernorm backward in normalized coordinates:
+        # (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) * inv_std.
         gxhat = grad * self.gamma.value
-        mean_g = gxhat.mean(axis=-1, keepdims=True)
-        mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        return (gxhat - mean_g - xhat * mean_gx) * inv_std
+        mean_g = mean_over(gxhat, -1, keepdims=True)
+        product = gxhat * xhat
+        mean_gx = mean_over(product, -1, keepdims=True)
+        out = gxhat
+        out -= mean_g
+        out -= np.multiply(xhat, mean_gx, out=product)
+        out *= inv_std
+        return out
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]

@@ -15,12 +15,21 @@ __all__ = ["softmax", "log_softmax", "softmax_cross_entropy", "mse_loss"]
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
     if shifted.dtype.kind != "f":
         shifted = shifted.astype(float)
     # The shifted copy is ours: exponentiate and normalize in place.
+    return exp_normalize(shifted, axis)
+
+
+def exp_normalize(shifted: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Turn max-shifted float scores into a softmax in place; returns them.
+
+    The ufunc reductions are called directly: ``ndarray.max`` and
+    ``ndarray.sum`` reach the same ones through a Python wrapper.
+    """
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=axis, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
     return shifted
 
 
