@@ -178,8 +178,7 @@ def execute_request(
     resolved = request.resolved_ids()
     experiments = [get_experiment(exp_id) for exp_id in resolved]
     # Experiments that time themselves run alone, in this process; the
-    # rest of an automatic multi-experiment request overlap.  Positions,
-    # not ids: a request may name an experiment twice.
+    # rest of an automatic multi-experiment request overlap.
     fanned = [
         k for k, exp in enumerate(experiments)
         if request.workers is None and not exp.VOLATILE_VALUES

@@ -55,7 +55,8 @@ def make_applicant_pool(
             applicant_id=i,
             research_institution=bool(rng.random() < 0.55),
             underrepresented=bool(rng.random() < 0.4),
-            year=int(rng.choice([2, 3])),
+            # The draw ``rng.choice([2, 3])`` makes, without its wrapper.
+            year=(2, 3)[int(rng.integers(0, 2))],
             preparation=float(rng.beta(4.0, 2.0)),
         )
         for i in range(n)
@@ -82,13 +83,15 @@ def select_offers(
             f"n_offers must lie in [1, {len(pool)}], got {n_offers}"
         )
     rng = as_generator(seed)
+    # One draw per applicant in pool order: the stream of scalar draws.
+    noise = rng.normal(0.0, 0.05, len(pool)).tolist()
     scores = np.array(
         [
             a.preparation
             + (diversity_bonus if a.underrepresented else 0.0)
             + (non_research_bonus if not a.research_institution else 0.0)
-            + float(rng.normal(0.0, 0.05))
-            for a in pool
+            + eps
+            for a, eps in zip(pool, noise)
         ]
     )
     top = np.argsort(scores)[::-1][:n_offers]

@@ -104,21 +104,17 @@ def make_cohort(
         students.append(
             Student(
                 student_id=i,
-                confidence=np.clip(
-                    conf_centers + rng.normal(0.0, trait_spread, len(SKILLS)),
-                    1.0,
-                    5.0,
-                ),
-                knowledge=np.clip(
+                confidence=(
+                    conf_centers + rng.normal(0.0, trait_spread, len(SKILLS))
+                ).clip(1.0, 5.0),
+                knowledge=(
                     know_centers
-                    + rng.normal(0.0, trait_spread, len(KNOWLEDGE_AREAS)),
-                    1.0,
-                    5.0,
-                ),
-                phd_intent=float(np.clip(rng.normal(3.2, 0.9), 1.0, 5.0)),
-                recommenders_home=int(np.clip(rng.poisson(2.2), 1, 5)),
-                recommenders_external=int(np.clip(rng.poisson(1.2), 0, 5)),
-                engagement=float(np.clip(rng.beta(5.0, 1.8), 0.3, 1.0)),
+                    + rng.normal(0.0, trait_spread, len(KNOWLEDGE_AREAS))
+                ).clip(1.0, 5.0),
+                phd_intent=float(min(max(rng.normal(3.2, 0.9), 1.0), 5.0)),
+                recommenders_home=int(min(max(rng.poisson(2.2), 1), 5)),
+                recommenders_external=int(min(max(rng.poisson(1.2), 0), 5)),
+                engagement=float(min(max(rng.beta(5.0, 1.8), 0.3), 1.0)),
                 goals=(pool[picked[0]], pool[picked[1]]),
                 local=i >= 10,  # students beyond the 10 offers are local
             )

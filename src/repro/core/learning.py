@@ -33,6 +33,21 @@ __all__ = ["ExperienceModel", "ConstantGainModel"]
 
 CEILING = 5.0
 
+#: Exposure per skill (Table 2) and per area (Table 3): boost / room to grow
+#: at the paper's a-priori mean.  Built once; every student reads them.
+_CONFIDENCE_EXPOSURE = np.array(
+    [
+        TABLE2_CONFIDENCE[s][1] / (CEILING - TABLE2_CONFIDENCE[s][0])
+        for s in SKILLS
+    ]
+)
+_KNOWLEDGE_EXPOSURE = np.array(
+    [
+        TABLE3_KNOWLEDGE[a][1] / (CEILING - TABLE3_KNOWLEDGE[a][0])
+        for a in KNOWLEDGE_AREAS
+    ]
+)
+
 
 @dataclass(frozen=True)
 class ExperienceModel:
@@ -55,21 +70,11 @@ class ExperienceModel:
 
     def confidence_exposure(self) -> np.ndarray:
         """Per-skill exposure calibrated from Table 2."""
-        return np.array(
-            [
-                TABLE2_CONFIDENCE[s][1] / (CEILING - TABLE2_CONFIDENCE[s][0])
-                for s in SKILLS
-            ]
-        )
+        return _CONFIDENCE_EXPOSURE.copy()
 
     def knowledge_exposure(self) -> np.ndarray:
         """Per-area exposure calibrated from Table 3."""
-        return np.array(
-            [
-                TABLE3_KNOWLEDGE[a][1] / (CEILING - TABLE3_KNOWLEDGE[a][0])
-                for a in KNOWLEDGE_AREAS
-            ]
-        )
+        return _KNOWLEDGE_EXPOSURE.copy()
 
     def apply(
         self, student: Student, *, seed: int | np.random.Generator | None = 0
@@ -83,41 +88,31 @@ class ExperienceModel:
         drive = student.engagement / 0.75
         conf_gain = (
             drive
-            * self.confidence_exposure()
+            * _CONFIDENCE_EXPOSURE
             * (CEILING - student.confidence)
             + rng.normal(0.0, self.noise, len(SKILLS))
         )
         know_gain = (
             drive
-            * self.knowledge_exposure()
+            * _KNOWLEDGE_EXPOSURE
             * (CEILING - student.knowledge)
             + rng.normal(0.0, self.noise, len(KNOWLEDGE_AREAS))
         )
+        phd_intent = (
+            student.phd_intent + self.phd_shift * drive + rng.normal(0.0, 0.3)
+        )
+        reu = round(self.reu_recommenders_mean + rng.normal(0.0, 0.7) * drive)
         return Student(
             student_id=student.student_id,
-            confidence=np.clip(student.confidence + conf_gain, 1.0, CEILING),
-            knowledge=np.clip(student.knowledge + know_gain, 1.0, CEILING),
-            phd_intent=float(
-                np.clip(
-                    student.phd_intent
-                    + self.phd_shift * drive
-                    + rng.normal(0.0, 0.3),
-                    1.0,
-                    CEILING,
-                )
-            ),
+            confidence=(student.confidence + conf_gain).clip(1.0, CEILING),
+            knowledge=(student.knowledge + know_gain).clip(1.0, CEILING),
+            phd_intent=float(min(max(phd_intent, 1.0), CEILING)),
             recommenders_home=student.recommenders_home,
             recommenders_external=student.recommenders_external,
             engagement=student.engagement,
             goals=student.goals,
             local=student.local,
-            recommenders_reu=int(
-                np.clip(
-                    round(self.reu_recommenders_mean + rng.normal(0.0, 0.7) * drive),
-                    2,
-                    4,
-                )
-            ),
+            recommenders_reu=int(min(max(reu, 2), 4)),
         )
 
 

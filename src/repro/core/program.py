@@ -124,19 +124,26 @@ class REUProgram:
         from Table 1 counts, nudged by engagement, and a student's *own*
         two goals get a focus bonus (people work toward what they named).
         """
+        # (name, None) for a cohort-wide goal, (name, base rate) otherwise;
+        # one uniform per drawn goal, in GOALS order, as one call.
+        goals = [
+            (goal.name, None if goal.cohort_wide else TABLE1_GOALS[goal.name] / 9.0)
+            for goal in GOALS
+        ]
+        n_drawn = sum(base is not None for _, base in goals)
         out: dict[int, frozenset[str]] = {}
         for s in cohort:
+            draws = iter(rng.random(n_drawn).tolist())
             done = set()
-            for goal in GOALS:
-                if goal.cohort_wide:
-                    done.add(goal.name)
+            for name, base in goals:
+                if base is None:
+                    done.add(name)
                     continue
-                base = TABLE1_GOALS[goal.name] / 9.0
                 p = base * (0.7 + 0.4 * s.engagement)
-                if goal.name in s.goals:
+                if name in s.goals:
                     p = min(1.0, p + 0.15)
-                if rng.random() < p:
-                    done.add(goal.name)
+                if next(draws) < p:
+                    done.add(name)
             out[s.student_id] = frozenset(done)
         return out
 

@@ -43,6 +43,27 @@ def measure_likert(
     return np.clip(np.rint(noisy), 1, 5).astype(int)
 
 
+def _measure_students(
+    students: list[Student], rng: np.random.Generator, response_noise: float
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Each student's Likert confidence, knowledge and PhD intent.
+
+    One :func:`measure_likert` call over a matrix with one row per student
+    (skills, then areas, then PhD intent).  Row-major noise is the same
+    stream, in the same order, as three calls per student would draw.
+    """
+    n_skills, n_areas = len(SKILLS), len(KNOWLEDGE_AREAS)
+    latent = np.empty((len(students), n_skills + n_areas + 1))
+    for row, s in zip(latent, students):
+        row[:n_skills] = s.confidence
+        row[n_skills:-1] = s.knowledge
+        row[-1] = s.phd_intent
+    likert = measure_likert(latent, rng, response_noise=response_noise)
+    return [
+        (row[:n_skills], row[n_skills:-1], int(row[-1])) for row in likert
+    ]
+
+
 @dataclass
 class SurveyResponse:
     """One anonymous survey submission.
@@ -139,19 +160,19 @@ def collect_apriori(
 ) -> list[SurveyResponse]:
     """Everyone answers the a-priori survey (15/15 in the paper)."""
     rng = as_generator(seed)
-    responses = []
-    for s in cohort:
-        responses.append(
-            SurveyResponse(
-                confidence=measure_likert(s.confidence, rng, response_noise=response_noise),
-                knowledge=measure_likert(s.knowledge, rng, response_noise=response_noise),
-                phd_intent=int(measure_likert(s.phd_intent, rng, response_noise=response_noise)),
-                goals_set=s.goals,
-                recommenders_home=s.recommenders_home,
-                recommenders_external=s.recommenders_external,
-            )
+    return [
+        SurveyResponse(
+            confidence=confidence,
+            knowledge=knowledge,
+            phd_intent=phd_intent,
+            goals_set=s.goals,
+            recommenders_home=s.recommenders_home,
+            recommenders_external=s.recommenders_external,
         )
-    return responses
+        for s, (confidence, knowledge, phd_intent) in zip(
+            cohort, _measure_students(cohort, rng, response_noise)
+        )
+    ]
 
 
 def collect_posthoc(
@@ -174,22 +195,24 @@ def collect_posthoc(
     rng = as_generator(seed)
     plan = plan or AttritionPlan()
     idx, complete_flags = plan.select(len(cohort_after), rng)
-    responses = []
-    for i, complete in zip(idx, complete_flags):
-        s = cohort_after[int(i)]
-        responses.append(
-            SurveyResponse(
-                confidence=measure_likert(s.confidence, rng, response_noise=response_noise),
-                knowledge=measure_likert(s.knowledge, rng, response_noise=response_noise),
-                phd_intent=int(measure_likert(s.phd_intent, rng, response_noise=response_noise)),
-                goals_set=s.goals,
-                complete=bool(complete),
-                goals_accomplished=(
-                    accomplished.get(s.student_id, frozenset()) if complete else frozenset()
-                ),
-                recommenders_reu=s.recommenders_reu if complete else None,
-                recommenders_home=s.recommenders_home if complete else None,
-                recommenders_external=s.recommenders_external if complete else None,
-            )
+    respondents = [cohort_after[int(i)] for i in idx]
+    return [
+        SurveyResponse(
+            confidence=confidence,
+            knowledge=knowledge,
+            phd_intent=phd_intent,
+            goals_set=s.goals,
+            complete=bool(complete),
+            goals_accomplished=(
+                accomplished.get(s.student_id, frozenset()) if complete else frozenset()
+            ),
+            recommenders_reu=s.recommenders_reu if complete else None,
+            recommenders_home=s.recommenders_home if complete else None,
+            recommenders_external=s.recommenders_external if complete else None,
         )
-    return responses
+        for s, complete, (confidence, knowledge, phd_intent) in zip(
+            respondents,
+            complete_flags,
+            _measure_students(respondents, rng, response_noise),
+        )
+    ]

@@ -179,9 +179,12 @@ def get_experiment(exp_id: str) -> Experiment:
 
 
 def resolve_ids(tokens: Iterable[str]) -> list[str]:
-    """Expand CLI id tokens (``all`` or explicit ids) to catalog ids."""
+    """Expand CLI id tokens (``all`` or explicit ids) to catalog ids.
+
+    A repeated id keeps its first place only: ``T1 T3 T3`` runs T3 once.
+    """
     load_all()
     tokens = list(tokens)
     if not tokens or any(t.lower() == "all" for t in tokens):
         return list(_REGISTRY)
-    return [get_experiment(t).id for t in tokens]
+    return list(dict.fromkeys(get_experiment(t).id for t in tokens))

@@ -81,19 +81,35 @@ _TORN_READ_ERRORS = (
 )
 
 
+#: ``id(code object) -> (code object, salt)``.  Holding the code object
+#: keeps its id from being reused while the entry lives.
+_SALTS: dict[int, tuple[Any, str]] = {}
+
+
 def code_salt(fn: Callable[..., Any]) -> str:
     """A salt that changes whenever the function's source changes.
 
-    Falls back to the module name + version when source is unavailable
+    Computed once per process for each code object, so it describes the
+    code this process runs: an edit on disk after the function was
+    compiled does not change it, and a re-imported module gets new code
+    objects and so a fresh salt.
+
+    Falls back to a hash of the module name when source is unavailable
     (builtins, C extensions, interactively defined functions).
     """
     while isinstance(fn, functools.partial):
         fn = fn.func
+    code = getattr(fn, "__code__", None)
+    if code is not None and id(code) in _SALTS:
+        return _SALTS[id(code)][1]
     try:
-        return stable_hash(inspect.getsource(fn))
+        salt = stable_hash(inspect.getsource(fn))
     except (OSError, TypeError):
         module = getattr(fn, "__module__", "unknown")
-        return stable_hash(f"{module}:no-source")
+        salt = stable_hash(f"{module}:no-source")
+    if code is not None:
+        _SALTS[id(code)] = (code, salt)
+    return salt
 
 
 def _digestable(value: Any) -> Any:

@@ -21,7 +21,8 @@ Life of a job
    :func:`repro.api.execution.execute_request` — the same path the CLI
    takes, so the run directory is indistinguishable from a CLI run — and
    stores the results document into the shared store under the digest
-   before reporting ``done``.  The store write is the cross-process
+   ``submit`` computed (it rides the task tuple, so a request is hashed
+   once) before reporting ``done``.  The store write is the cross-process
    rendezvous: any worker's result answers every later submitter.
 4. ``cancel`` flips a queued job to ``cancelled`` immediately; a running
    job's worker process is terminated and a replacement worker is
@@ -107,7 +108,7 @@ def worker_main(tasks: Any, events: Any, root: str) -> None:
         item = tasks.get()
         if item is _STOP:
             break
-        run_id, raw_request, traceparent = item
+        run_id, digest, raw_request, traceparent = item
         events.put(("start", run_id, os.getpid(), time.time()))
         # The traceparent rode the task tuple across the fork boundary;
         # the worker hop is a child span of the coordinator's, keeping
@@ -124,7 +125,7 @@ def worker_main(tasks: Any, events: Any, root: str) -> None:
             with trace_context.bind(ctx):
                 summary = execute_request(request, out_dir=Path(root) / run_id)
             if request.cache:
-                store.put(request.digest(), summary.as_dict())
+                store.put(digest, summary.as_dict())
             events.put(("done", run_id, time.time()))
         except BaseException as exc:  # a worker must survive any job
             events.put(("failed", run_id, f"{type(exc).__name__}: {exc}",
@@ -317,7 +318,7 @@ class JobQueue:
         # The dir exists from submission, so `repro watch <run-id>` can
         # attach before the worker's first event.
         run_dir.mkdir(parents=True, exist_ok=True)
-        self._tasks.put((run_id, request.as_dict(), ctx.to_traceparent()))
+        self._tasks.put((run_id, digest, request.as_dict(), ctx.to_traceparent()))
         return status
 
     def _get(self, run_id: str) -> _Job:

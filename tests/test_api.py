@@ -601,10 +601,11 @@ def test_fan_out_submits_the_longest_experiments_first(
     assert ordered[2] == fallback[2]
 
 
-def test_a_repeated_experiment_replays_in_its_own_places(forced_pool, tmp_path):
-    # T3's median is above T1's, so the two T3s are submitted first and
-    # both arrive before T1's turn.
+def test_a_repeated_experiment_runs_once(forced_pool, tmp_path):
+    # A repeated id keeps its first place, so the request is T1 T3 in
+    # its identity and in what runs, serially and fanned out.
     ids = ("T1", "T3", "T3")
+    assert RunRequest(ids=ids).digest() == RunRequest(ids=("T1", "T3")).digest()
     runs = {}
     for label, workers in (("serial", 1), ("auto", None)):
         summary = execute_request(
@@ -617,7 +618,7 @@ def test_a_repeated_experiment_replays_in_its_own_places(forced_pool, tmp_path):
             canonical_results_bytes(summary.as_dict()),
         )
     assert runs["auto"] == runs["serial"]
-    assert runs["auto"][0] == list(ids)
+    assert runs["auto"][0] == ["T1", "T3"]
 
 
 def test_a_short_request_keeps_the_serial_prefix(monkeypatch, tmp_path):

@@ -45,6 +45,10 @@ class TestCatalog:
         assert resolve_ids([]) == EXPECTED_IDS
         assert resolve_ids(["t1", "E10"]) == ["T1", "E10"]
 
+    def test_resolve_ids_keeps_the_first_of_repeated_ids(self):
+        assert resolve_ids(["T1", "T3", "t3", "T3"]) == ["T1", "T3"]
+        assert resolve_ids(["T3", "T1", "T3"]) == ["T3", "T1"]
+
 
 class TestRegistration:
     def test_duplicate_id_rejected(self):

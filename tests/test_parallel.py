@@ -556,6 +556,39 @@ class TestResultCache:
 
         assert code_salt(partial(double_cell, 1)) == code_salt(double_cell)
 
+    def test_repeated_digests_read_each_source_once(self, monkeypatch):
+        import inspect
+
+        from repro.api import RunRequest
+        from repro.exp.registry import get_experiment
+        from repro.parallel import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_SALTS", {})
+        read = []
+        getsource = inspect.getsource
+
+        def counting(obj):
+            read.append(obj)
+            return getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting)
+        ids = ("T1", "T3", "N1")
+        request = RunRequest(ids=ids, smoke=True)
+        assert len({request.digest() for _ in range(3)}) == 1
+        assert len(read) == len({type(get_experiment(i))._run for i in ids}) > 1
+
+    def test_memoised_salt_is_the_source_hash(self):
+        import inspect
+
+        from repro.provenance.manifest import stable_hash
+
+        expected = stable_hash(inspect.getsource(double_cell))
+        assert code_salt(double_cell) == expected
+        assert code_salt(double_cell) == expected  # read from the memo
+
+    def test_different_source_gets_a_different_salt(self):
+        assert code_salt(double_cell) != code_salt(seeded_cell)
+
     def test_pmap_cache_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold = pmap(seeded_cell, list(range(4)), 0, cache=cache)

@@ -920,6 +920,31 @@ def _feed(q, *messages):
     q._drain()
 
 
+def test_worker_stores_under_the_digest_it_was_handed(fakes, tmp_path, monkeypatch):
+    import queue
+
+    from repro.api.catalog import SERVE_STORE_DIRNAME
+    from repro.parallel.cache import ResultCache
+    from repro.serve.queue import _STOP, worker_main
+
+    request = RunRequest(ids=("ZZQ",), overrides={"ZZQ": {"x": 5}})
+    digest = request.digest()
+    tasks, events = queue.Queue(), queue.Queue()
+    tasks.put(("run-0001", digest, request.as_dict(), None))
+    tasks.put(_STOP)
+
+    def no_digest(self):
+        raise AssertionError("the worker hashed the request again")
+
+    monkeypatch.setattr(RunRequest, "digest", no_digest)
+    worker_main(tasks, events, str(tmp_path))
+    kinds = [events.get_nowait()[0] for _ in range(events.qsize())]
+    assert kinds == ["start", "done"]
+    hit, document = ResultCache(tmp_path / SERVE_STORE_DIRNAME).get(digest)
+    assert hit
+    assert document["experiments"][0]["values"]["block"]["x"] == 5
+
+
 class TestQueueGauges:
     def test_submit_never_scans_the_job_table(self, idle_queue):
         from repro.api.types import DONE, RunStatus
