@@ -18,7 +18,8 @@ default BLAS thread count:
   and per-experiment wall times;
 * ``metrics.prom`` — the metrics registry in Prometheus text format;
 * the cross-run index — the finished run registers itself with
-  :class:`repro.obs.history.RunRegistry`.
+  :class:`repro.obs.history.RunRegistry`, from the results and manifest
+  documents it has just serialized rather than a re-read of the files.
 
 Experiments overlap.  In a request of two or more experiments with
 automatic workers (``workers=None``), the experiments that declare no
@@ -305,8 +306,8 @@ def execute_request(
         records, request.smoke, out_path, manifest, trace=ctx.as_dict()
     )
     if out_path is not None:
-        _write_artifacts(summary, out_path)
-        _register_run(out_path)
+        results, manifest_doc = _write_artifacts(summary, out_path)
+        _register_run(out_path, results, manifest_doc)
     return summary
 
 
@@ -383,18 +384,27 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _register_run(out_path: Path) -> None:
-    """Index the finished run so ``repro runs`` sees it without a rescan."""
+def _register_run(
+    out_path: Path, results: dict[str, Any], manifest: dict[str, Any]
+) -> None:
+    """Index the finished run so ``repro runs`` sees it without a rescan.
+
+    The record is built from the documents just written, not re-read.
+    """
     from repro.obs.history import RunRegistry
 
     root = os.environ.get("REPRO_RUNS_DIR") or out_path.parent
     try:
-        RunRegistry(root).register(out_path)
+        RunRegistry(root).register(out_path, results=results, manifest=manifest)
     except (OSError, ValueError):
         pass  # an unwritable index must never fail the run itself
 
 
-def _write_artifacts(summary: RunSummary, out_path: Path) -> None:
+def _write_artifacts(
+    summary: RunSummary, out_path: Path
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Write the run's artifacts; the results and manifest documents
+    that ``results.json`` and ``manifest.json`` serialize."""
     manifest = summary.manifest
     assert manifest is not None
     manifest_doc = {
@@ -409,10 +419,12 @@ def _write_artifacts(summary: RunSummary, out_path: Path) -> None:
         # the environment block — not part of the results identity).
         manifest_doc["trace"] = summary.trace
     _atomic_write_text(out_path / "manifest.json", json.dumps(manifest_doc, indent=2))
-    _atomic_write_text(out_path / "results.json", json.dumps(summary.as_dict(), indent=2))
+    results = summary.as_dict()
+    _atomic_write_text(out_path / "results.json", json.dumps(results, indent=2))
     prom = obs.render_prometheus(
         obs.get_metrics(),
         labels={"run_id": out_path.name, "tier": "smoke" if summary.smoke else "default"},
     )
     if prom:
         _atomic_write_text(out_path / "metrics.prom", prom)
+    return results, manifest_doc

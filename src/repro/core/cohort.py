@@ -96,11 +96,13 @@ def make_cohort(
     pool = goal_pool or goal_names()
     weights = np.array([TABLE1_GOALS.get(g, 5) + 1.0 for g in pool])
     weights = weights / weights.sum()
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
     conf_centers = np.array([TABLE2_CONFIDENCE[s][0] for s in SKILLS])
     know_centers = np.array([TABLE3_KNOWLEDGE[a][0] for a in KNOWLEDGE_AREAS])
     students = []
     for i in range(n_students):
-        picked = rng.choice(len(pool), size=2, replace=False, p=weights)
+        picked = _pick_two(rng, weights, cdf)
         students.append(
             Student(
                 student_id=i,
@@ -120,3 +122,25 @@ def make_cohort(
             )
         )
     return students
+
+
+def _pick_two(
+    rng: np.random.Generator, weights: np.ndarray, cdf: np.ndarray
+) -> tuple[int, int]:
+    """Two distinct indices drawn by ``weights``, without replacement.
+
+    ``Generator.choice(len(weights), 2, replace=False, p=weights)``
+    written out, draw for draw: two uniforms looked up in ``cdf`` (the
+    normalised cumulative sum of ``weights``) and, only when both land on
+    the same index, that weight zeroed and one more uniform looked up in
+    the rest.  Picks and the generator's final state match ``choice``'s;
+    its argument checks and wrapper cost about ten times the draws.
+    """
+    first, second = cdf.searchsorted(rng.random(2), side="right").tolist()
+    if first == second:
+        rest = weights.copy()
+        rest[first] = 0.0
+        rest_cdf = np.cumsum(rest)
+        rest_cdf /= rest_cdf[-1]
+        second = int(rest_cdf.searchsorted(rng.random(), side="right"))
+    return first, second

@@ -1,10 +1,14 @@
 """The REU program: configuration, timeline, and the season simulation.
 
-``REUProgram.run_season`` is the top-level entry point: it builds the
-applicant pool, selects the cohort, runs the ten-week experience (lectures
--> research -> poster week), decides goal accomplishment, and collects both
-surveys.  Everything downstream (Tables 1-3, narrative statistics, the GPU
-workload of experiment R1) consumes its :class:`SeasonOutcome`.
+``REUProgram.run_season`` is the top-level entry point: it reserves the
+applicant-pool and offer-selection streams, draws the cohort, runs the
+ten-week experience (lectures -> research -> poster week), decides goal
+accomplishment, and collects both surveys.  The pool and the offers are
+built by :func:`repro.core.applicants.make_applicant_pool` and
+:func:`~repro.core.applicants.select_offers` for callers that want them;
+a season's outcome does not depend on them.  Everything downstream
+(Tables 1-3, narrative statistics, the GPU workload of experiment R1)
+consumes its :class:`SeasonOutcome`.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.applicants import make_applicant_pool, select_offers
 from repro.core.cohort import Student, make_cohort
 from repro.core.goals import GOALS
 from repro.core.learning import ExperienceModel
@@ -150,10 +153,11 @@ class REUProgram:
     def run_season(self, seed: int = 0) -> SeasonOutcome:
         """Simulate one full season deterministically from ``seed``."""
         ledger = SeedSequenceLedger(seed)
-        pool = make_applicant_pool(
-            self.config.n_applicants, seed=ledger.generator("applicants")
-        )
-        select_offers(pool, self.config.n_offers, seed=ledger.generator("selection"))
+        # Nothing downstream reads the applicant pool or the offers, so
+        # neither is drawn; their streams are still spawned first, which
+        # keeps every later stream (and the seed audit) as it was.
+        ledger.sequence("applicants")
+        ledger.sequence("selection")
         cohort = make_cohort(
             self.config.cohort_size, seed=ledger.generator("cohort")
         )

@@ -90,6 +90,15 @@ def flatten_values(values: Any, prefix: str = "") -> dict[str, Any]:
     return out
 
 
+def _json_shaped(value: Any) -> Any:
+    """``value`` with every tuple a list, as a JSON round trip gives it."""
+    if isinstance(value, Mapping):
+        return {k: _json_shaped(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_shaped(v) for v in value]
+    return value
+
+
 def _is_volatile(key: str, patterns: Sequence[str]) -> bool:
     return any(fnmatchcase(key, pattern) for pattern in patterns)
 
@@ -194,13 +203,7 @@ class RunRecord:
             results = json.loads(results_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise HistoryError(f"unreadable results.json in {path}: {exc}") from exc
-        if not isinstance(results, Mapping) or "experiments" not in results:
-            raise HistoryError(f"{results_path} is not a run results document")
-
-        environment: dict[str, Any] = {}
-        chain_verified: bool | None = None
-        seed_audits: dict[str, dict[str, int]] = {}
-        result_digests: dict[str, str] = {}
+        manifest: Mapping[str, Any] | None = None
         manifest_path = path / "manifest.json"
         if manifest_path.is_file():
             try:
@@ -209,6 +212,38 @@ class RunRecord:
                 raise HistoryError(
                     f"unreadable manifest.json in {path}: {exc}"
                 ) from exc
+        return cls.from_documents(
+            path, results, manifest, mtime=results_path.stat().st_mtime
+        )
+
+    @classmethod
+    def from_documents(
+        cls,
+        run_dir: str | os.PathLike,
+        results: Any,
+        manifest: Mapping[str, Any] | None,
+        *,
+        mtime: float,
+    ) -> "RunRecord":
+        """The record of a run from its results and manifest documents.
+
+        ``results`` and ``manifest`` are what the directory's
+        ``results.json`` and ``manifest.json`` hold (``manifest`` is
+        ``None`` when there is none) and ``mtime`` is ``results.json``'s.
+        A run that has just written its artifacts passes the documents it
+        serialized; :meth:`from_dir` passes what it parsed, so both give
+        the same record.
+        """
+        path = Path(run_dir)
+        if not isinstance(results, Mapping) or "experiments" not in results:
+            raise HistoryError(
+                f"{path / 'results.json'} is not a run results document"
+            )
+        environment: dict[str, Any] = {}
+        chain_verified: bool | None = None
+        seed_audits: dict[str, dict[str, int]] = {}
+        result_digests: dict[str, str] = {}
+        if manifest is not None:
             environment = dict(manifest.get("environment", {}))
             chain_verified = manifest.get("chain_verified")
             for entry in manifest.get("manifest", {}).get("entries", []):
@@ -223,7 +258,8 @@ class RunRecord:
         experiments: dict[str, ExperimentSnapshot] = {}
         for raw in results.get("experiments", []):
             exp_id = str(raw.get("experiment", "?"))
-            config = dict(raw.get("config", {}))
+            # As JSON holds it: a config tuple reads back as a list.
+            config = _json_shaped(dict(raw.get("config", {})))
             experiments[exp_id] = ExperimentSnapshot(
                 experiment=exp_id,
                 wall_s=float(raw.get("wall_s", raw.get("seconds", 0.0)) or 0.0),
@@ -236,12 +272,11 @@ class RunRecord:
                 result_digest=result_digests.get(exp_id),
             )
 
-        stat = results_path.stat()
         return cls(
             run_id=path.name,
             path=str(path),
-            mtime=stat.st_mtime,
-            timestamp=stat.st_mtime,
+            mtime=mtime,
+            timestamp=mtime,
             smoke=bool(results.get("smoke", False)),
             repro_version=results.get("repro_version"),
             environment=environment,
@@ -393,15 +428,31 @@ class RunRegistry:
         self.stale = sorted(set(indexed) - set(live))
         return sorted(live.values(), key=lambda r: (r.timestamp, r.run_id))
 
-    def register(self, run_dir: str | os.PathLike) -> RunRecord:
-        """Parse one freshly finished run and append it to the index.
+    def register(
+        self,
+        run_dir: str | os.PathLike,
+        *,
+        results: Mapping[str, Any] | None = None,
+        manifest: Mapping[str, Any] | None = None,
+    ) -> RunRecord:
+        """Record one freshly finished run and append it to the index.
 
+        A run that has just written its artifacts passes the ``results``
+        and ``manifest`` documents it serialized, and the record is built
+        from them plus one ``stat`` of ``results.json``; without
+        ``results`` the directory is parsed (:meth:`RunRecord.from_dir`).
         A single O(1) append: the index is never read here, so the cost
         does not grow with the number of runs already recorded.  A repeat
         registration adds a duplicate line, which collapses on read
         (last line per run id wins in :meth:`_load_index`).
         """
-        record = RunRecord.from_dir(run_dir)
+        if results is None:
+            record = RunRecord.from_dir(run_dir)
+        else:
+            mtime = (Path(run_dir) / "results.json").stat().st_mtime
+            record = RunRecord.from_documents(
+                run_dir, results, manifest, mtime=mtime
+            )
         self._append([record])
         return record
 

@@ -11,7 +11,10 @@ assert on exact failure modes.
 Built on :mod:`http.client`: each client keeps one persistent (HTTP/1.1
 keep-alive) connection per thread, so a submit → wait → results round
 costs one TCP connect, and :meth:`~ServeClient.wait` is a server-held
-``GET /runs/<id>?wait=<s>`` rather than a sleep loop.  No third-party
+``GET /runs/<id>?wait=<s>`` rather than a sleep loop.  A held wait that
+ends ``done`` brings the run's results with it; the client keeps that one
+document for the thread's next :meth:`~ServeClient.results` call on the
+same run, so the round is two HTTP exchanges, not three.  No third-party
 dependency, usable from any Python that can reach the server.
 """
 
@@ -168,7 +171,15 @@ class ServeClient:
         return RunStatus.from_dict(payload)
 
     def results(self, run_id: str) -> dict[str, Any]:
-        """The finished run's results document (``results.json``'s shape)."""
+        """The finished run's results document (``results.json``'s shape).
+
+        When this thread's last :meth:`wait` ended on ``run_id`` done,
+        the document it brought back is returned without a request; the
+        held document is dropped by this call either way.
+        """
+        held, self._local.held = getattr(self._local, "held", None), None
+        if held is not None and held[0] == run_id:
+            return held[1]
         _, payload = self._request("GET", f"/runs/{run_id}/results")
         return payload["document"]
 
@@ -192,13 +203,21 @@ class ServeClient:
         server caps it too), so a long wait is a few held rounds, never a
         read timeout.  ``poll_s`` is kept for callers written against the
         earlier sleep-and-poll client; it no longer has any effect.
+
+        When the run ends ``done`` the server's answer carries its results
+        document, which this thread holds for its next :meth:`results`
+        call; a thread holds one document at most, and a wait that ends
+        otherwise (or raises) holds none.
         """
+        self._local.held = None
         deadline = time.monotonic() + timeout_s
         while True:
             hold = max(0.0, min(deadline - time.monotonic(), self.timeout_s / 2))
             _, payload = self._request("GET", f"/runs/{run_id}?wait={hold:.3f}")
             status = RunStatus.from_dict(payload)
             if status.state in TERMINAL_STATES:
+                if "results" in payload:  # only ever on a done run
+                    self._local.held = (run_id, payload["results"]["document"])
                 return status
             if time.monotonic() >= deadline:
                 raise TimeoutError(

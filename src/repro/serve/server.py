@@ -17,8 +17,11 @@ Routes
 ``GET  /runs/<id>?wait=<s>``          the same, held until the run is
                                       terminal or ``<s>`` seconds pass
                                       (capped at :data:`MAX_WAIT_S`);
-                                      400 on a non-number, 404 at once on
-                                      an unknown id
+                                      a ``done`` run's status also carries
+                                      ``results``, the body of
+                                      ``GET /runs/<id>/results``; 400 on a
+                                      non-number, 404 at once on an
+                                      unknown id
 ``GET  /runs/<id>/results``           the finished run's results document
                                       (the same shape ``results.json``
                                       holds)
@@ -33,14 +36,24 @@ Errors map straight off the API's taxonomy: :exc:`RequestError` → 400,
 :exc:`UnknownRunError` → 404, :exc:`ConflictError` → 409, unknown route
 → 404, wrong verb → 405.  Error bodies are ``{"error": "<message>"}``.
 
+A held wait that ends with the run ``done`` answers with its results
+too, so a submit → wait → results round is two HTTP exchanges; when the
+results cannot be read the wait answers with the bare status, and
+``GET /runs/<id>/results`` says why.  A plain ``GET /runs/<id>`` never
+carries them.
+
+JSON bodies are compact (``json.dumps`` with its defaults, which runs the
+C encoder) and end in a newline.  Each response goes out in one send:
+the body is appended to the buffered headers.
+
 Connections are HTTP/1.1 keep-alive: every response carries a
 ``Content-Length`` and every request body is read in full, so one client
 connection carries any number of requests.  ``TCP_NODELAY`` is set on
-each accepted socket, because the handler writes headers and body in two
-sends; on a kept-alive socket Nagle's algorithm would hold the body back
-until the client's delayed ACK (~40 ms per response).  :meth:`stop`
-shuts down every open connection, so no handler thread outlives it
-blocked on an idle client.
+each accepted socket: with one send per response Nagle's algorithm has
+nothing to hold back today, but a response written in two sends on a
+kept-alive socket would wait for the client's delayed ACK (~40 ms).
+:meth:`stop` shuts down every open connection, so no handler thread
+outlives it blocked on an idle client.
 
 Every request runs under a :mod:`repro.obs.context` trace — continued
 from the caller's ``traceparent`` header when one parses, freshly rooted
@@ -96,7 +109,7 @@ MAX_WAIT_S = 30.0
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{repro.package_version()}"
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate sends; see the module docstring.
+    # Kept although each response is one send; see the module docstring.
     disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
@@ -121,11 +134,16 @@ class _Handler(BaseHTTPRequestHandler):
             # Echo the request's trace so callers without their own
             # context still learn the trace_id the server assigned.
             self.send_header(TRACEPARENT_HEADER, ctx.to_traceparent())
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # end_headers() would send the headers on their own: append the
+        # blank line and the body instead, and send the lot at once.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_json(self, code: int, payload: Any) -> None:
-        self._send(code, json.dumps(payload, indent=2).encode() + b"\n",
+        self._send(code, (json.dumps(payload) + "\n").encode(),
                    "application/json")
 
     def _send_error_json(self, code: int, message: str) -> None:
@@ -296,7 +314,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _held_status(self, run_id: str, hold: float) -> dict[str, Any]:
         """Hold until the run is terminal or ``hold`` passes; the status
-        as it then stands.  An unknown id raises before any hold."""
+        as it then stands, with a ``done`` run's results (when they can
+        be read).  An unknown id raises before any hold."""
         start = time.perf_counter()
         try:
             status = self.catalog.wait(run_id, hold)
@@ -304,7 +323,13 @@ class _Handler(BaseHTTPRequestHandler):
             status = self.catalog.status(run_id)
         finally:
             self._wait_s = time.perf_counter() - start
-        return status.as_dict()
+        body = status.as_dict()
+        if status.state == DONE:
+            try:
+                body["results"] = self.catalog.results(run_id).as_dict()
+            except (ConflictError, UnknownRunError, OSError, ValueError):
+                pass  # the bare status; GET .../results reports the error
+        return body
 
     def _submit(self) -> None:
         request = RunRequest.from_dict(self._read_body())

@@ -3,9 +3,12 @@
 ``repro.core`` draws a season's randomness with fewer numpy calls than it
 once did: one ``integers`` draw for an applicant's year in place of
 ``choice``, one ``random(k)`` per student for goal accomplishment, one
-``normal`` vector for offer scoring, and one Likert matrix per survey.
-Each must consume the same generator stream in the same order, so every
-array, scalar and final generator state here must equal the per-call
+``normal`` vector for offer scoring, one Likert matrix per survey, and a
+student's two goals looked up in a cumulative sum in place of
+``Generator.choice``.  A season no longer draws the applicant pool or the
+offers, which nothing reads; it only reserves their streams.  Each must
+consume the same generator stream in the same order, so every array,
+scalar and final generator state here must equal the per-call
 reference's, and so must the canonical results of the experiments that
 regenerate the paper's tables.
 """
@@ -20,10 +23,10 @@ from repro.core import applicants, cohort, multiyear, program, surveys
 from repro.core.cohort import KNOWLEDGE_AREAS, SKILLS, Student
 from repro.core.goals import GOALS
 from repro.core.learning import CEILING, ExperienceModel
-from repro.core.program import REUProgram
+from repro.core.program import ProgramConfig, REUProgram, SeasonOutcome
 from repro.core.reference import TABLE1_GOALS, TABLE2_CONFIDENCE, TABLE3_KNOWLEDGE
 from repro.core.surveys import AttritionPlan, SurveyResponse, measure_likert
-from repro.utils.rng import as_generator
+from repro.utils.rng import SeedSequenceLedger, as_generator
 
 SEEDS = range(60)
 
@@ -61,6 +64,10 @@ def ref_select_offers(
     return [pool[i] for i in top]
 
 
+def ref_pick_two(rng, weights):
+    return tuple(rng.choice(len(weights), size=2, replace=False, p=weights).tolist())
+
+
 def ref_make_cohort(n_students=15, *, goal_pool=None, trait_spread=0.7, seed=0):
     from repro.core.goals import goal_names
 
@@ -72,7 +79,7 @@ def ref_make_cohort(n_students=15, *, goal_pool=None, trait_spread=0.7, seed=0):
     know_centers = np.array([TABLE3_KNOWLEDGE[a][0] for a in KNOWLEDGE_AREAS])
     students = []
     for i in range(n_students):
-        picked = rng.choice(len(pool), size=2, replace=False, p=weights)
+        picked = ref_pick_two(rng, weights)
         students.append(
             Student(
                 student_id=i,
@@ -192,6 +199,33 @@ def ref_collect_posthoc(cohort_after, accomplished, *, plan=None, response_noise
     return responses
 
 
+def ref_run_season(self, seed=0):
+    """``REUProgram.run_season`` as it was: the pool and offers drawn."""
+    ledger = SeedSequenceLedger(seed)
+    pool = ref_make_applicant_pool(
+        self.config.n_applicants, seed=ledger.generator("applicants")
+    )
+    ref_select_offers(pool, self.config.n_offers, seed=ledger.generator("selection"))
+    students = ref_make_cohort(self.config.cohort_size, seed=ledger.generator("cohort"))
+    apriori = ref_collect_apriori(students, seed=ledger.generator("apriori"))
+    growth_rng = ledger.generator("experience")
+    after = [self.model.apply(s, seed=growth_rng) for s in students]
+    accomplished = self._accomplish_goals(after, ledger.generator("goals"))
+    posthoc = ref_collect_posthoc(
+        after, accomplished, plan=self.config.attrition,
+        seed=ledger.generator("posthoc"),
+    )
+    return SeasonOutcome(
+        cohort_before=students,
+        cohort_after=after,
+        apriori=apriori,
+        posthoc=posthoc,
+        accomplished=accomplished,
+        n_applicants=self.config.n_applicants,
+        seed_audit=ledger.audit(),
+    )
+
+
 # -- comparison ---------------------------------------------------------------------
 
 
@@ -254,6 +288,35 @@ def test_offer_selection_matches_the_reference():
         assert_same_state(a, b)
 
 
+def _goal_weights(pool):
+    weights = np.array([TABLE1_GOALS.get(g, 5) + 1.0 for g in pool])
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [_goal_weights(list(TABLE1_GOALS)), np.array([0.9] + [0.1 / 18] * 18)],
+    ids=["table1", "one-heavy"],
+)
+def test_goal_pick_matches_generator_choice(weights):
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    repeats = 0
+    for seed in SEEDS:
+        a, b = _rngs(seed)
+        for _ in range(15):
+            expected = ref_pick_two(b, weights)
+            state = a.bit_generator.state
+            first, second = a.random(2)
+            a.bit_generator.state = state
+            repeats += int(cdf.searchsorted(first, "right")
+                           == cdf.searchsorted(second, "right"))
+            assert cohort._pick_two(a, weights, cdf) == expected, f"seed {seed}"
+        assert_same_state(a, b)
+    # Both the two-draw path and the one-more-draw path were taken.
+    assert 0 < repeats < 15 * len(SEEDS)
+
+
 @pytest.mark.parametrize("n_students", [2, 15, 40])
 def test_cohort_matches_the_reference(n_students):
     for seed in SEEDS:
@@ -261,6 +324,46 @@ def test_cohort_matches_the_reference(n_students):
         assert_same(cohort.make_cohort(n_students, seed=a),
                     ref_make_cohort(n_students, seed=b), f"seed {seed}")
         assert_same_state(a, b)
+
+
+def _recording_generators(monkeypatch):
+    """Patch the ledger to keep every generator it hands out, by name."""
+    made = {}
+    original = SeedSequenceLedger.generator
+
+    def generator(self, name):
+        made[name] = original(self, name)
+        return made[name]
+
+    monkeypatch.setattr(SeedSequenceLedger, "generator", generator)
+    return made
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ProgramConfig(), ProgramConfig(n_applicants=40, n_offers=12,
+                                    n_local_supplements=0,
+                                    attrition=AttritionPlan.incentivized())],
+    ids=["paper", "small-pool"],
+)
+def test_season_matches_the_reference_without_drawing_the_pool(config, monkeypatch):
+    prog = REUProgram(config)
+    for seed in SEEDS:
+        with monkeypatch.context() as patch:
+            fast_rngs = _recording_generators(patch)
+            fast = prog.run_season(seed)
+        with monkeypatch.context() as patch:
+            ref_rngs = _recording_generators(patch)
+            reference = ref_run_season(prog, seed)
+        assert_same(fast, reference, f"seed {seed}")
+        assert list(fast.seed_audit) == [
+            "applicants", "selection", "cohort", "apriori", "experience",
+            "goals", "posthoc",
+        ]
+        # The pool's and the offers' streams are reserved, never drawn.
+        assert set(ref_rngs) - set(fast_rngs) == {"applicants", "selection"}
+        for name, rng in fast_rngs.items():
+            assert_same_state(rng, ref_rngs[name])
 
 
 @pytest.mark.parametrize(
@@ -324,9 +427,9 @@ def test_posthoc_survey_matches_the_reference(plan):
 
 
 def _patch_references(monkeypatch):
-    for module in (applicants, program):
-        monkeypatch.setattr(module, "make_applicant_pool", ref_make_applicant_pool)
-        monkeypatch.setattr(module, "select_offers", ref_select_offers)
+    monkeypatch.setattr(applicants, "make_applicant_pool", ref_make_applicant_pool)
+    monkeypatch.setattr(applicants, "select_offers", ref_select_offers)
+    monkeypatch.setattr(REUProgram, "run_season", ref_run_season)
     for module in (cohort, program, multiyear):
         monkeypatch.setattr(module, "make_cohort", ref_make_cohort)
     for module in (surveys, program):

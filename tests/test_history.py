@@ -190,6 +190,44 @@ def test_register_appends_without_reading_the_index(tmp_path, monkeypatch):
     assert json.loads(lines[-1]) == record.as_dict()
 
 
+def test_register_from_memory_equals_the_record_parsed_from_disk(
+    tmp_path, monkeypatch
+):
+    from repro.api import RunRequest, execute_request
+
+    built = []
+    register = RunRegistry.register
+
+    def recording_register(self, run_dir, **documents):
+        built.append((sorted(documents), register(self, run_dir, **documents)))
+        return built[-1][1]
+
+    monkeypatch.setattr(RunRegistry, "register", recording_register)
+    monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
+    # E2 and R1 carry tuples in their configs, which JSON reads back as lists.
+    request = RunRequest(ids=("T1", "E2", "R1"), smoke=True, workers=1, cache=False)
+    execute_request(request, out_dir=tmp_path / "run-mem")
+    ((documents, from_memory),) = built
+    assert documents == ["manifest", "results"]
+    from_disk = RunRecord.from_dir(tmp_path / "run-mem")
+    for name in RunRecord.__dataclass_fields__:
+        assert getattr(from_memory, name) == getattr(from_disk, name), name
+    assert list(from_memory.experiments) == ["T1", "E2", "R1"]
+    assert from_memory.mtime == (tmp_path / "run-mem" / "results.json").stat().st_mtime
+    (indexed,) = RunRegistry(tmp_path).scan()
+    assert indexed == from_disk
+
+
+def test_a_run_without_a_manifest_registers_from_disk(tmp_path):
+    run_dir = make_run(tmp_path, "run-1", mtime=1_000.0)
+    (run_dir / "manifest.json").unlink()
+    record = RunRegistry(tmp_path).register(run_dir)
+    assert record == RunRecord.from_dir(run_dir)
+    assert record.mtime == 1_000.0
+    assert record.environment == {} and record.chain_verified is None
+    assert record.experiments["E1"].seeds == {}
+
+
 def test_repeat_registration_collapses_on_read(tmp_path):
     run_dir = make_run(tmp_path, "run-1")
     registry = RunRegistry(tmp_path)

@@ -768,6 +768,14 @@ class TestKeepAlive:
         finally:
             conn.close()
 
+    def test_an_http09_request_gets_the_bare_body(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        assert json.loads(b"".join(chunks))["ok"] is True
+
     def test_keepalive_responses_are_not_held_back_by_nagle(self, client):
         client.healthz()  # connect outside the timed loop
         start = time.perf_counter()
@@ -867,6 +875,92 @@ class TestHeldWait:
         code, payload = _get(f"{server.url}/runs/run-9999-deadbeef?wait=5")
         assert code == 404 and "unknown run" in payload["error"]
         assert time.perf_counter() - start < 1.0
+
+    def test_submit_wait_results_is_two_requests(self, server, client):
+        status = client.submit(RunRequest(ids=("ZZQ",), cache=False))
+        run_id = status.run_id
+        assert client.wait(run_id, timeout_s=60).state == "done"
+        document = client.results(run_id)
+
+        def lines():
+            return [r for r in _access_records(server)
+                    if r["kind"] == "request" and r.get("run_id") == run_id]
+
+        _wait_for_access(server, lambda r: len(lines()) >= 2)
+        time.sleep(0.2)  # a third request line would have landed by now
+        assert [r["method"] for r in lines()] == ["POST", "GET"]
+        on_disk = json.loads((server.queue.root / run_id / "results.json").read_text())
+        assert document == on_disk
+        code, payload = _get(f"{server.url}/runs/{run_id}/results")
+        assert code == 200 and payload["document"] == document
+        code, plain = _get(f"{server.url}/runs/{run_id}")
+        assert code == 200 and plain["state"] == "done" and "results" not in plain
+
+    def test_a_wait_that_ends_failed_or_cancelled_holds_nothing(self, client):
+        done = client.submit(RunRequest(ids=("ZZQ",), cache=False))
+        client.wait(done.run_id, timeout_s=60)
+        failed = client.submit(RunRequest(ids=("ZZBOOM",), cache=False))
+        assert client.wait(failed.run_id, timeout_s=60).state == "failed"
+        assert client._local.held is None
+        with pytest.raises(ServeError) as exc_info:
+            client.results(failed.run_id)
+        assert exc_info.value.status == 409
+
+        cancelled = client.submit(RunRequest(ids=("ZZSLOW",), cache=False))
+        client.cancel(cancelled.run_id)
+        assert client.wait(cancelled.run_id, timeout_s=60).state == "cancelled"
+        assert client._local.held is None
+        with pytest.raises(ServeError) as exc_info:
+            client.results(cancelled.run_id)
+        assert exc_info.value.status == 409
+        # The first run's results are still served, by a request.
+        assert client.results(done.run_id)["experiments"]
+
+    def test_a_thread_holds_one_document_at_most(self, client):
+        calls = []
+        real_request = client._request
+
+        def counting_request(method, path, body=None):
+            calls.append(path)
+            return real_request(method, path, body)
+
+        first, second, other = (
+            client.submit(RunRequest(ids=("ZZQ",), cache=False,
+                                     overrides={"ZZQ": {"x": x}}))
+            for x in (1, 2, 3)
+        )
+        held_elsewhere = []
+
+        def wait_in_a_thread():
+            client.wait(other.run_id, timeout_s=60)
+            held_elsewhere.append(client._local.held[0])
+
+        thread = threading.Thread(target=wait_in_a_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and held_elsewhere == [other.run_id]
+
+        client.wait(first.run_id, timeout_s=60)
+        client.wait(second.run_id, timeout_s=60)
+        assert client._local.held[0] == second.run_id
+        client._request = counting_request
+        assert client.results(second.run_id)["experiments"][0]["values"] == {
+            "block": {"x": 2}
+        }
+        assert calls == []
+        assert client.results(first.run_id)["experiments"][0]["values"] == {
+            "block": {"x": 1}
+        }
+        assert calls == [f"/runs/{first.run_id}/results"]
+        assert client._local.held is None
+
+    def test_wait_without_a_results_file_answers_the_status(self, server, client):
+        status = client.submit(RunRequest(ids=("ZZQ",), cache=False))
+        client.wait(status.run_id, timeout_s=60)
+        (server.queue.root / status.run_id / "results.json").unlink()
+        code, payload = _get(f"{server.url}/runs/{status.run_id}?wait=5")
+        assert code == 200
+        assert payload["state"] == "done" and "results" not in payload
 
     def test_held_time_is_not_booked_as_handler_latency(self, server, client):
         from repro.obs.trace import ServeTraceIndex
